@@ -32,6 +32,9 @@ Maple::Maple(sim::EventQueue &eq, MapleParams params, MapleWiring wiring)
     err_.assign(params_.max_queues, ErrorState{});
     quiesced_.assign(params_.max_queues, 0);
     produce_inflight_q_.assign(params_.max_queues, 0);
+    reserve_ticket_.assign(params_.max_queues, 0);
+    reserve_turn_.assign(params_.max_queues, 0);
+    reserve_parked_.assign(params_.max_queues, 0);
     amo_addend_.assign(params_.max_queues, 0);
     amo_seq_alloc_.assign(params_.max_queues, 0);
     amo_seq_commit_.assign(params_.max_queues, 0);
@@ -268,12 +271,8 @@ Maple::produceData(unsigned q, std::uint64_t data)
     bumpCounter(Counter::ProducedData);
     if (params_.shared_pipeline_hazard)
         co_await acquirePipeHead();
-    if (co_await pointerlessEnqueueWait(q)) {
-        MapleQueue &queue = queues_[q];
-        ++accept_count_[q];
-        unsigned slot = queue.reserveSlot();
-        queue.fillSlot(slot, data);
-    }
+    if (std::optional<unsigned> slot = co_await reserveSlotInOrder(q))
+        queues_[q].fillSlot(*slot, data);
     if (params_.shared_pipeline_hazard)
         releasePipeHead();
 }
@@ -290,7 +289,18 @@ Maple::producePtr(unsigned q, sim::Addr vaddr)
         co_return;
     }
     bumpCounter(Counter::ProducedPtrs);
+    co_await admitProduce(q);
+    if (params_.shared_pipeline_hazard)
+        co_await acquirePipeHead();
+    co_await pointerProduceInner(q, vaddr);
+    if (params_.shared_pipeline_hazard)
+        releasePipeHead();
+    releaseProduce(q);
+}
 
+sim::Task<void>
+Maple::admitProduce(unsigned q)
+{
     // Produce buffer: bounded number of produces between decode and issue.
     sim::Cycle buf_wait_start = eq_.now();
     {
@@ -308,11 +318,11 @@ Maple::producePtr(unsigned q, sim::Addr vaddr)
     }
     ++produce_inflight_;
     ++produce_inflight_q_[q];
-    if (params_.shared_pipeline_hazard)
-        co_await acquirePipeHead();
-    co_await pointerProduceInner(q, vaddr);
-    if (params_.shared_pipeline_hazard)
-        releasePipeHead();
+}
+
+void
+Maple::releaseProduce(unsigned q)
+{
     --produce_inflight_;
     --produce_inflight_q_[q];
     sim::Signal wake = std::exchange(produce_buffer_wait_, sim::Signal{});
@@ -322,11 +332,11 @@ Maple::producePtr(unsigned q, sim::Addr vaddr)
 sim::Task<void>
 Maple::pointerProduceInner(unsigned q, sim::Addr vaddr)
 {
-    if (!co_await pointerlessEnqueueWait(q))
+    std::optional<unsigned> reserved = co_await reserveSlotInOrder(q);
+    if (!reserved)
         co_return;  // timed out / aborted: the produce is dropped
     MapleQueue &queue = queues_[q];
-    ++accept_count_[q];
-    unsigned slot = queue.reserveSlot();
+    const unsigned slot = *reserved;
     unsigned generation = queue_generation_[q];
 
     // Injected TLB-miss storm: shoot the translation down first so this
@@ -380,18 +390,24 @@ Maple::pointerProduceInner(unsigned q, sim::Addr vaddr)
                                           queue.entryBytes()));
 }
 
-sim::Task<bool>
-Maple::pointerlessEnqueueWait(unsigned q)
+sim::Task<std::optional<unsigned>>
+Maple::reserveSlotInOrder(unsigned q)
 {
     MapleQueue &queue = queues_[q];
     MAPLE_CHECK(queue.configured(), sim::QueueMisuseError,
                 "%s: produce to unconfigured queue %u", params_.name.c_str(), q);
+    // Waiters re-park at the back of the space signal on every wake, and a
+    // produce admitted inline during a wake (its buffer entry freed by a
+    // finishing produce) can park ahead of older ones still being resumed.
+    // The per-queue ticket keeps slot reservation in arrival order anyway.
+    const std::uint64_t ticket = reserve_ticket_[q]++;
     sim::Cycle wait_start = eq_.now();
     const unsigned abort_epoch = queue_abort_epoch_[q];
     bool timed_out = false;
     {
         fault::ParkGuard park(eq_, "produce_full", params_.name, q);
-        while (queue.full() && queue_abort_epoch_[q] == abort_epoch) {
+        while ((queue.full() || reserve_turn_[q] != ticket) &&
+               queue_abort_epoch_[q] == abort_epoch) {
             // Re-read the bound every wakeup: the recovery driver re-arms
             // QueueTimeout (a reconfigure zeroes it) while ops are parked
             // here, and the new bound must take effect on them — a produce
@@ -400,7 +416,9 @@ Maple::pointerlessEnqueueWait(unsigned q)
             const sim::Cycle timeout = queue_timeout_[q];
             if (timeout == 0) {
                 sim::Signal wait = queue.spaceSignal();
+                ++reserve_parked_[q];
                 co_await wait;
+                --reserve_parked_[q];
             } else {
                 // Timed wait: the hardware timeout counter ticks every
                 // cycle until space frees or the bound is hit.
@@ -419,22 +437,29 @@ Maple::pointerlessEnqueueWait(unsigned q)
                               eq_.now() - wait_start);
         }
     }
+    std::optional<unsigned> slot;
     if (queue_abort_epoch_[q] != abort_epoch) {
         // DeviceReset hit the queue while this produce was parked: unwind
         // without touching the rebuilt queue.
         produce_status_[q] = queue_status_[q] =
             static_cast<std::uint8_t>(MapleStatus::Aborted);
-        co_return false;
-    }
-    if (timed_out) {
+    } else if (timed_out) {
         produce_status_[q] = queue_status_[q] =
             static_cast<std::uint8_t>(MapleStatus::TimedOut);
         bumpCounter(Counter::TimedOutOps);
-        co_return false;
+    } else {
+        produce_status_[q] = queue_status_[q] =
+            static_cast<std::uint8_t>(MapleStatus::Ok);
+        ++accept_count_[q];
+        slot = queue.reserveSlot();
     }
-    produce_status_[q] = queue_status_[q] =
-        static_cast<std::uint8_t>(MapleStatus::Ok);
-    co_return true;
+    // Pass the turn on, slot or not. A successor parked only for its turn
+    // needs a wake if there is room; one parked on a full queue gets it
+    // from the next pop.
+    ++reserve_turn_[q];
+    if (reserve_parked_[q] > 0 && !queue.full())
+        queue.pulseSpace();
+    co_return slot;
 }
 
 sim::Task<void>
@@ -496,35 +521,16 @@ Maple::produceAmoAdd(unsigned q, sim::Addr vaddr)
         co_return;
     }
     bumpCounter(Counter::ProducedPtrs);
-
-    sim::Cycle buf_wait_start = eq_.now();
-    {
-        fault::ParkGuard park(eq_, "produce_buffer", params_.name, q);
-        while (produce_inflight_ >= params_.produce_buffer) {
-            sim::Signal wait = produce_buffer_wait_;
-            co_await wait;
-        }
-    }
-    if (eq_.now() != buf_wait_start) {
-        if (auto *t = tracer()) {
-            t->attributeStall(trace::StallCause::ProduceBuffer,
-                              eq_.now() - buf_wait_start);
-        }
-    }
-    ++produce_inflight_;
-    ++produce_inflight_q_[q];
-    if (!co_await pointerlessEnqueueWait(q)) {
+    co_await admitProduce(q);
+    std::optional<unsigned> reserved = co_await reserveSlotInOrder(q);
+    if (!reserved) {
         // Timed out waiting for space: drop the op, but release the buffer
         // slot so later produces are not starved by a dead one.
-        --produce_inflight_;
-        --produce_inflight_q_[q];
-        sim::Signal timeout_wake = std::exchange(produce_buffer_wait_, sim::Signal{});
-        timeout_wake.set(sim::Unit{});
+        releaseProduce(q);
         co_return;
     }
     MapleQueue &queue = queues_[q];
-    ++accept_count_[q];
-    unsigned slot = queue.reserveSlot();
+    const unsigned slot = *reserved;
     unsigned generation = queue_generation_[q];
     // Take a commit ticket at reservation time: translations can complete
     // out of order (page walks to the same table line merge and resume in
@@ -574,10 +580,7 @@ Maple::produceAmoAdd(unsigned q, sim::Addr vaddr)
     ++amo_seq_commit_[q];
     sim::Signal commit_wake = std::exchange(amo_commit_wait_, sim::Signal{});
     commit_wake.set(sim::Unit{});
-    --produce_inflight_;
-    --produce_inflight_q_[q];
-    sim::Signal wake = std::exchange(produce_buffer_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
+    releaseProduce(q);
 }
 
 sim::Task<void>
@@ -639,7 +642,7 @@ Maple::consume(unsigned q, bool pair)
         fault::ParkGuard park(eq_, "consume_empty", params_.name, q);
         while (!queue.headValid(needed) &&
                queue_abort_epoch_[q] == abort_epoch) {
-            // Re-read the bound every wakeup (see pointerlessEnqueueWait):
+            // Re-read the bound every wakeup (see reserveSlotInOrder):
             // a QueueTimeout store must take effect on parked consumes too.
             const sim::Cycle timeout = queue_timeout_[q];
             if (timeout == 0) {

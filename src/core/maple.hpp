@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "core/maple_isa.hpp"
@@ -184,11 +185,20 @@ class Maple : public soc::MmioDevice {
                                 unsigned bytes);
 
     /**
-     * Wait until queue @p q has a free slot, counting full-stall cycles.
-     * Honors the queue's timeout register: returns false when the wait hit
-     * the bound (the produce is dropped, status = TimedOut).
+     * Take a produce-buffer entry (waiting while all are in use), and
+     * give it back.
      */
-    sim::Task<bool> pointerlessEnqueueWait(unsigned q);
+    sim::Task<void> admitProduce(unsigned q);
+    void releaseProduce(unsigned q);
+
+    /**
+     * Reserve queue @p q's tail slot, in arrival order among produces to
+     * @p q, waiting while the queue is full and counting full-stall cycles.
+     * Honors the queue's timeout register: returns no slot when the wait hit
+     * the bound (the produce is dropped, status = TimedOut) or a
+     * DeviceReset aborted it (status = Aborted).
+     */
+    sim::Task<std::optional<unsigned>> reserveSlotInOrder(unsigned q);
 
     /** Background fill of a reserved slot from memory. */
     sim::Task<void> fetchIntoSlot(unsigned q, unsigned generation, unsigned slot,
@@ -290,6 +300,14 @@ class Maple : public soc::MmioDevice {
     unsigned produce_inflight_ = 0;
     std::vector<unsigned> produce_inflight_q_;
     sim::Signal produce_buffer_wait_;
+
+    // In-order slot reservation, per queue: the next ticket to hand out, the
+    // ticket whose turn it is, and how many produces are parked on the
+    // queue's space signal. Not serialized: ticket == turn and nothing is
+    // parked at every quiesced snapshot point.
+    std::vector<std::uint64_t> reserve_ticket_;
+    std::vector<std::uint64_t> reserve_turn_;
+    std::vector<unsigned> reserve_parked_;
 
     // Shared-pipeline ablation state.
     bool pipe_head_held_ = false;

@@ -205,6 +205,9 @@ class MapleQueue {
         wakeSpace();
         wakeData();
     }
+
+    /** pulseWaiters() for the producers parked on space only. */
+    void pulseSpace() { wakeSpace(); }
     /// @}
 
     /**
