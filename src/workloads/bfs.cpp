@@ -10,13 +10,8 @@
  * level (benign: its distance is already final) -- the same relaxation the
  * paper's OpenMP implementation and MAPLE's non-coherent scratchpad rely on.
  */
-#include <optional>
-
-#include "baselines/desc.hpp"
-#include "baselines/droplet.hpp"
-#include "baselines/sw_queue.hpp"
 #include "sim/sync.hpp"
-#include "workloads/workload.hpp"
+#include "workloads/technique.hpp"
 
 namespace maple::app {
 
@@ -24,611 +19,383 @@ namespace {
 
 constexpr std::uint32_t kInf = 0xffffffffu;
 
-struct BfsSim {
+/** Device-side state for one run, and the kernel of every technique role. */
+struct BfsKernels : KernelTraits {
+    /** The host graph, its root and the golden distances. */
+    struct Host {
+        SparseMatrix g;
+        std::uint32_t root = 0;
+        std::vector<std::uint32_t> golden;
+
+        Host(unsigned scale, unsigned edge_factor, std::uint64_t seed)
+            : g(makeRmat(scale, edge_factor, seed))
+        {
+            // Pick the highest-degree vertex as root (guaranteed non-trivial).
+            std::uint32_t best = 0;
+            for (std::uint32_t v = 0; v < g.rows; ++v) {
+                std::uint32_t deg = g.row_ptr[v + 1] - g.row_ptr[v];
+                if (deg > best) {
+                    best = deg;
+                    root = v;
+                }
+            }
+            // Host golden BFS.
+            golden.assign(g.rows, kInf);
+            golden[root] = 0;
+            std::vector<std::uint32_t> cur{root}, next;
+            std::uint32_t level = 0;
+            while (!cur.empty()) {
+                next.clear();
+                for (std::uint32_t u : cur) {
+                    for (std::uint32_t j = g.row_ptr[u]; j < g.row_ptr[u + 1]; ++j) {
+                        std::uint32_t v = g.col_idx[j];
+                        if (golden[v] == kInf) {
+                            golden[v] = level + 1;
+                            next.push_back(v);
+                        }
+                    }
+                }
+                cur.swap(next);
+                ++level;
+            }
+        }
+    };
+
+    const Host &host;
     SimCsr g;                       ///< adjacency (no vals)
     SimArray<std::uint32_t> dist;
     SimArray<std::uint32_t> frontier_a, frontier_b;
     sim::Addr next_tail = 0;        ///< shared append counter (atomic)
     std::uint32_t vertices = 0;
-    std::uint32_t root = 0;
-};
 
-/** Host-shared level state, updated by thread 0 between barriers. */
-struct LevelState {
-    std::uint64_t count = 0;   ///< size of the current frontier
+    /// Host-shared level state, updated by one bookkeeper between barriers.
+    std::uint64_t count = 1;        ///< size of the current frontier
     bool cur_is_a = true;
     std::uint32_t level = 0;
-};
+    sim::Barrier bar;
 
-sim::Addr
-curFrontier(const BfsSim &s, const LevelState &ls, std::uint64_t i)
-{
-    return ls.cur_is_a ? s.frontier_a.addr(i) : s.frontier_b.addr(i);
-}
-
-sim::Addr
-nextFrontier(const BfsSim &s, const LevelState &ls, std::uint64_t i)
-{
-    return ls.cur_is_a ? s.frontier_b.addr(i) : s.frontier_a.addr(i);
-}
-
-/** Thread-0 bookkeeping between levels (runs between the two barriers). */
-sim::Task<void>
-advanceLevel(cpu::Core &core, BfsSim &s, LevelState &ls)
-{
-    std::uint64_t produced = co_await core.load(s.next_tail, 8);
-    co_await core.store(s.next_tail, 0, 8);
-    co_await core.storeFence();
-    ls.count = produced;
-    ls.cur_is_a = !ls.cur_is_a;
-    ++ls.level;
-}
-
-/**
- * Process edges of frontier[chunk]; @p fetch_dist supplies the IMA value for
- * dist[v] (doall: plain load; decoupled: consume from a queue), so all
- * variants share the update logic.
- */
-template <typename FetchDist>
-sim::Task<void>
-expandChunk(cpu::Core &core, BfsSim &s, LevelState &ls, Chunk chunk,
-            FetchDist &&fetch_dist, unsigned sw_prefetch_dist = 0)
-{
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-        auto u = static_cast<std::uint32_t>(
-            co_await core.load(curFrontier(s, ls, i), 4));
-        auto jb = static_cast<std::uint32_t>(
-            co_await core.load(s.g.row_ptr.addr(u), 4));
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.g.row_ptr.addr(u + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            if (sw_prefetch_dist && j + sw_prefetch_dist < je) {
-                auto vd = static_cast<std::uint32_t>(co_await core.load(
-                    s.g.col_idx.addr(j + sw_prefetch_dist), 4));
-                co_await core.compute(4);
-                co_await core.prefetchL1(s.dist.addr(vd));
-            }
-            auto v = static_cast<std::uint32_t>(
-                co_await core.load(s.g.col_idx.addr(j), 4));
-            std::uint32_t dv = co_await fetch_dist(core, j, v);
-            co_await core.compute(1);
-            if (dv == kInf) {
-                co_await core.store(s.dist.addr(v), ls.level + 1, 4);
-                std::uint64_t idx = co_await core.amoAdd(s.next_tail, 1, 8);
-                co_await core.store(nextFrontier(s, ls, idx), v, 4);
-            }
-        }
-    }
-}
-
-/** Plain-load dist fetch (doall / droplet / sw-prefetch). */
-struct LoadFetch {
-    BfsSim &s;
-
-    sim::Task<std::uint32_t>
-    operator()(cpu::Core &core, std::uint32_t, std::uint32_t v) const
+    BfsKernels(os::Process &proc, const Host &h, unsigned workers)
+        : host(h), g(SimCsr::upload(proc, h.g, /*with_vals=*/false)),
+          dist(proc, h.g.rows, "dist"),
+          // The frontier can exceed |V| because of benign duplicate appends.
+          frontier_a(proc, size_t(h.g.rows) + h.g.nnz(), "frontier_a"),
+          frontier_b(proc, size_t(h.g.rows) + h.g.nnz(), "frontier_b"),
+          next_tail(proc.alloc(64, "next_tail")), vertices(h.g.rows), bar(workers)
     {
-        co_return static_cast<std::uint32_t>(
-            co_await core.load(s.dist.addr(v), 4));
+        std::vector<std::uint32_t> dist_init(h.g.rows, kInf);
+        dist_init[h.root] = 0;
+        dist.upload(dist_init);
+        frontier_a.write(0, h.root);
     }
-};
 
-/**
- * One worker thread of the level-synchronous loop.
- *
- * @p make_fetch and @p prologue are taken by value: callers pass temporaries
- * and this coroutine outlives the spawning full-expression, so reference
- * parameters would dangle at the first resume.
- */
-template <typename MakeFetch, typename PerChunkPrologue>
-sim::Task<void>
-bfsWorker(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-          unsigned t, unsigned threads, MakeFetch make_fetch,
-          PerChunkPrologue prologue, unsigned sw_prefetch_dist = 0)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, t, threads);
-        co_await prologue(core, chunk);
-        co_await expandChunk(core, s, ls, chunk, make_fetch, sw_prefetch_dist);
-        co_await core.storeFence();  // all appends visible before the swap
+    DropletBinding droplet() const { return {g.col_idx.addr(0), g.col_idx.size(), dist.addr(0)}; }
+
+    sim::Addr curFrontier(std::uint64_t i) const { return cur_is_a ? frontier_a.addr(i) : frontier_b.addr(i); }
+    sim::Addr nextFrontier(std::uint64_t i) const { return cur_is_a ? frontier_b.addr(i) : frontier_a.addr(i); }
+
+    /**
+     * Close a level: every worker meets at the barrier, the bookkeeper swaps
+     * the frontiers, and all meet again before the next level starts.
+     */
+    sim::Task<void>
+    endLevel(cpu::Core &core, bool bookkeeper)
+    {
         co_await bar.wait();
-        if (t == 0)
-            co_await advanceLevel(core, s, ls);
-        co_await bar.wait();
-    }
-}
-
-struct NoPrologue {
-    sim::Task<void> operator()(cpu::Core &, Chunk) const { co_return; }
-};
-
-// ---------------------------------------------------------------------------
-// MAPLE decoupling: the Access thread re-walks the same (u, j) sequence and
-// produces dist pointers; regular-pattern data (frontier, row_ptr, col_idx)
-// is loaded from the caches by both threads.
-// ---------------------------------------------------------------------------
-
-sim::Task<void>
-mapleAccess(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-            core::MapleApi &api, unsigned q, unsigned pair, unsigned pairs)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
-            for (std::uint32_t j = jb; j < je; ++j) {
-                auto v = static_cast<std::uint32_t>(
-                    co_await core.load(s.g.col_idx.addr(j), 4));
-                co_await core.compute(1);
-                co_await api.producePtr(core, q, s.dist.addr(v));
-            }
+        if (bookkeeper) {
+            std::uint64_t produced = co_await core.load(next_tail, 8);
+            co_await core.store(next_tail, 0, 8);
+            co_await core.storeFence();
+            count = produced;
+            cur_is_a = !cur_is_a;
+            ++level;
         }
-        co_await core.storeFence();
-        co_await bar.wait();  // Execute's thread-0 does the bookkeeping
         co_await bar.wait();
     }
-}
 
-sim::Task<void>
-mapleExecute(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-             core::MapleApi &api, unsigned q, unsigned pair, unsigned pairs,
-             bool bookkeeper)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        auto fetch = [&](cpu::Core &c, std::uint32_t,
-                         std::uint32_t) -> sim::Task<std::uint32_t> {
-            co_return static_cast<std::uint32_t>(co_await api.consume(c, q));
-        };
-        co_await expandChunk(core, s, ls, chunk, fetch);
-        co_await core.storeFence();
-        co_await bar.wait();
-        if (bookkeeper)
-            co_await advanceLevel(core, s, ls);
-        co_await bar.wait();
+    /** Mark @p v discovered at the next level and append it to the frontier. */
+    sim::Task<void>
+    discover(cpu::Core &core, std::uint32_t v)
+    {
+        co_await core.store(dist.addr(v), level + 1, 4);
+        std::uint64_t idx = co_await core.amoAdd(next_tail, 1, 8);
+        co_await core.store(nextFrontier(idx), v, 4);
     }
-}
 
-// ---------------------------------------------------------------------------
-// Shared-memory decoupling
-// ---------------------------------------------------------------------------
-
-sim::Task<void>
-swqAccess(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-          baselines::SwQueue &swq, unsigned pair, unsigned pairs)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
-            for (std::uint32_t j = jb; j < je; ++j) {
-                auto v = static_cast<std::uint32_t>(
-                    co_await core.load(s.g.col_idx.addr(j), 4));
-                std::uint64_t dv = co_await core.load(s.dist.addr(v), 4);
-                co_await swq.produce(core, dv);
-            }
-        }
-        co_await core.storeFence();
-        co_await bar.wait();
-        co_await bar.wait();
-    }
-}
-
-sim::Task<void>
-swqExecute(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-           baselines::SwQueue &swq, unsigned pair, unsigned pairs, bool bookkeeper)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        auto fetch = [&](cpu::Core &c, std::uint32_t,
-                         std::uint32_t) -> sim::Task<std::uint32_t> {
-            co_return static_cast<std::uint32_t>(co_await swq.consume(c));
-        };
-        co_await expandChunk(core, s, ls, chunk, fetch);
-        co_await core.storeFence();
-        co_await bar.wait();
-        if (bookkeeper)
-            co_await advanceLevel(core, s, ls);
-        co_await bar.wait();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DeSC: Compute has no memory visibility. Supply streams (v, dist[v]) pairs
-// through the architectural queue; Compute sends discovered stores back, and
-// Supply performs both the store and the frontier append. Supply cannot
-// start the next level until Compute drains -- the loss of runahead the
-// paper describes for BFS.
-// ---------------------------------------------------------------------------
-
-sim::Task<bool> drainDescStores(cpu::Core &core, BfsSim &s, LevelState &ls,
-                                baselines::DescQueue &dq, bool all);
-
-sim::Task<void>
-descSupply(sim::EventQueue &eq, cpu::Core &core, BfsSim &s, LevelState &ls,
-           sim::Barrier &bar, baselines::DescQueue &dq, unsigned pair,
-           unsigned pairs, const std::uint32_t *exec_level,
-           const std::uint64_t *edges_done, bool bookkeeper)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        std::uint64_t produced_edges = 0;
-        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
-            co_await dq.produceValue(core, je - jb);
-            for (std::uint32_t j = jb; j < je; ++j) {
-                auto v = static_cast<std::uint32_t>(
-                    co_await core.load(s.g.col_idx.addr(j), 4));
-                co_await dq.produceValue(core, v);
-                // Loss of decoupling: every prior edge *may* have stored to
-                // dist[] (Compute decides), so sequential semantics force
-                // this terminal load to wait until Compute has retired all
-                // program-order-prior edges and their stores are performed.
-                // This is why DeSC loses its runahead on BFS (Figure 12) --
-                // MAPLE's software contract (stale reads are benign, updates
-                // commit at the epoch barrier) removes the constraint.
-                while (*edges_done < produced_edges) {
-                    if (!co_await drainDescStores(core, s, ls, dq, false))
-                        co_await sim::delay(eq, 10);
-                }
-                co_await drainDescStores(core, s, ls, dq, /*all=*/true);
-                co_await dq.produceLoad(core, s.dist.addr(v), 4);
-                ++produced_edges;
-            }
-        }
-        co_await dq.produceValue(core, kInf);  // level-end sentinel
-        // Serve Compute until it finishes the level (loss of runahead).
-        while (*exec_level <= ls.level)
-            if (!co_await drainDescStores(core, s, ls, dq, false))
-                co_await sim::delay(eq, 20);
-        co_await drainDescStores(core, s, ls, dq, /*all=*/true);
-        co_await core.storeFence();
-        co_await bar.wait();
-        if (bookkeeper)
-            co_await advanceLevel(core, s, ls);
-        co_await bar.wait();
-    }
-}
-
-/** Perform pending Compute stores; dist stores also append the vertex. */
-sim::Task<bool>
-drainDescStores(cpu::Core &core, BfsSim &s, LevelState &ls,
-                baselines::DescQueue &dq, bool all)
-{
-    bool any = false;
-    do {
-        auto st = co_await dq.takeStore(core);
-        if (!st)
-            co_return any;
-        any = true;
-        co_await core.store(st->first, st->second, 4);
-        sim::Addr dist0 = s.dist.addr(0);
-        if (st->first >= dist0 && st->first < s.dist.addr(s.vertices)) {
-            auto v = static_cast<std::uint32_t>((st->first - dist0) / 4);
-            std::uint64_t idx = co_await core.amoAdd(s.next_tail, 1, 8);
-            co_await core.store(nextFrontier(s, ls, idx), v, 4);
-        }
-    } while (all);
-    co_return any;
-}
-
-sim::Task<void>
-descCompute(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-            baselines::DescQueue &dq, std::uint32_t *exec_level,
-            std::uint64_t *edges_done)
-{
-    while (ls.count > 0) {
-        *edges_done = 0;
-        for (;;) {
-            std::uint64_t n = co_await dq.consume(core);
-            if (n == kInf)
-                break;  // level end
-            for (std::uint64_t j = 0; j < n; ++j) {
-                auto v = static_cast<std::uint32_t>(co_await dq.consume(core));
-                auto dv = static_cast<std::uint32_t>(co_await dq.consume(core));
-                co_await core.compute(1);
-                // Discovery: ship the dist store back; Supply performs it
-                // and turns it into a frontier append.
-                if (dv == kInf)
-                    co_await dq.produceStore(core, s.dist.addr(v), ls.level + 1);
-                ++*edges_done;  // retires the edge (ordering token)
-            }
-        }
-        ++*exec_level;
-        co_await bar.wait();
-        co_await bar.wait();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LIMA prefetch: one LIMA per frontier vertex, issued dist_v vertices ahead.
-// ---------------------------------------------------------------------------
-
-sim::Task<std::uint64_t> issueLima(cpu::Core &core, BfsSim &s, LevelState &ls,
-                                   core::MapleApi &api, unsigned q,
-                                   std::uint64_t i);
-
-sim::Task<void>
-limaWorker(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-           core::MapleApi &api, unsigned q, unsigned dist_v)
-{
-    while (ls.count > 0) {
-        Chunk chunk{0, ls.count};
-        // Prologue: LIMA for the first dist_v vertices.
-        std::uint64_t issued = std::min<std::uint64_t>(dist_v, ls.count);
-        std::uint64_t queued_elems = 0;
-        for (std::uint64_t i = 0; i < issued; ++i)
-            queued_elems += co_await issueLima(core, s, ls, api, q, i);
-        std::uint64_t consumed = 0;
-
-        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-            if (issued < ls.count) {
-                queued_elems += co_await issueLima(core, s, ls, api, q, issued);
-                ++issued;
-            }
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
-            for (std::uint32_t j = jb; j < je; ++j) {
-                auto v = static_cast<std::uint32_t>(
-                    co_await core.load(s.g.col_idx.addr(j), 4));
-                auto dv = static_cast<std::uint32_t>(co_await api.consume(core, q));
-                ++consumed;
-                co_await core.compute(1);
-                if (dv == kInf) {
-                    co_await core.store(s.dist.addr(v), ls.level + 1, 4);
-                    std::uint64_t idx = co_await core.amoAdd(s.next_tail, 1, 8);
-                    co_await core.store(nextFrontier(s, ls, idx), v, 4);
+    /**
+     * The level-synchronous loop of one worker that updates dist itself:
+     * @p fetch supplies the IMA value dist[v] (a plain load, or a consume
+     * from the worker's queue). Parameters are taken by value: callers pass
+     * temporaries and this coroutine outlives the spawning full-expression.
+     */
+    template <typename Fetch>
+    sim::Task<void>
+    levels(cpu::Core &core, Slice w, Fetch fetch, unsigned sw_prefetch_dist)
+    {
+        while (count > 0) {
+            Chunk chunk = w.of(count);
+            for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+                auto u = static_cast<std::uint32_t>(co_await core.load(curFrontier(i), 4));
+                auto jb = static_cast<std::uint32_t>(co_await core.load(g.row_ptr.addr(u), 4));
+                auto je = static_cast<std::uint32_t>(
+                    co_await core.load(g.row_ptr.addr(u + 1), 4));
+                for (std::uint32_t j = jb; j < je; ++j) {
+                    if (sw_prefetch_dist && j + sw_prefetch_dist < je) {
+                        auto vd = static_cast<std::uint32_t>(co_await core.load(
+                            g.col_idx.addr(j + sw_prefetch_dist), 4));
+                        co_await core.compute(4);
+                        co_await core.prefetchL1(dist.addr(vd));
+                    }
+                    auto v = static_cast<std::uint32_t>(
+                        co_await core.load(g.col_idx.addr(j), 4));
+                    auto dv = static_cast<std::uint32_t>(co_await fetch(core, v));
+                    co_await core.compute(1);
+                    if (dv == kInf)
+                        co_await discover(core, v);
                 }
             }
+            co_await core.storeFence();  // all appends visible before the swap
+            co_await endLevel(core, w.index == 0);
         }
-        MAPLE_ASSERT(consumed == queued_elems, "LIMA stream drift");
-        co_await core.storeFence();
-        co_await bar.wait();
-        co_await advanceLevel(core, s, ls);
-        co_await bar.wait();
     }
-}
 
-/** Issue one LIMA covering frontier vertex @p i's adjacency; returns #edges. */
-sim::Task<std::uint64_t>
-issueLima(cpu::Core &core, BfsSim &s, LevelState &ls, core::MapleApi &api,
-          unsigned q, std::uint64_t i)
-{
-    auto u = static_cast<std::uint32_t>(
-        co_await core.load(curFrontier(s, ls, i), 4));
-    auto jb = static_cast<std::uint32_t>(co_await core.load(s.g.row_ptr.addr(u), 4));
-    auto je = static_cast<std::uint32_t>(
-        co_await core.load(s.g.row_ptr.addr(u + 1), 4));
-    if (je > jb) {
-        core::LimaRequest req;
-        req.a_base = s.dist.addr(0);
-        req.b_base = s.g.col_idx.addr(0);
-        req.start = jb;
-        req.end = je;
-        req.target_queue = q;
-        co_await api.lima(core, req);
-    }
-    co_return je - jb;
-}
-
-// ---------------------------------------------------------------------------
-// Workload wrapper
-// ---------------------------------------------------------------------------
-
-class Bfs final : public Workload {
-  public:
-    Bfs(unsigned scale, unsigned edge_factor, std::uint64_t seed)
-        : g_(makeRmat(scale, edge_factor, seed))
+    auto
+    loadDist()
     {
-        // Pick the highest-degree vertex as root (guaranteed non-trivial).
-        root_ = 0;
-        std::uint32_t best = 0;
-        for (std::uint32_t v = 0; v < g_.rows; ++v) {
-            std::uint32_t deg = g_.row_ptr[v + 1] - g_.row_ptr[v];
-            if (deg > best) {
-                best = deg;
-                root_ = v;
-            }
-        }
-        // Host golden BFS.
-        golden_.assign(g_.rows, kInf);
-        golden_[root_] = 0;
-        std::vector<std::uint32_t> cur{root_}, next;
-        std::uint32_t level = 0;
-        while (!cur.empty()) {
-            next.clear();
-            for (std::uint32_t u : cur) {
-                for (std::uint32_t j = g_.row_ptr[u]; j < g_.row_ptr[u + 1]; ++j) {
-                    std::uint32_t v = g_.col_idx[j];
-                    if (golden_[v] == kInf) {
-                        golden_[v] = level + 1;
-                        next.push_back(v);
+        return [this](cpu::Core &c, std::uint32_t v) { return c.load(dist.addr(v), 4); };
+    }
+
+    sim::Task<void> doall(cpu::Core &core, Slice t) { return levels(core, t, loadDist(), 0); }
+
+    sim::Task<void>
+    swPrefetch(cpu::Core &core, unsigned dist_edges)
+    {
+        return levels(core, Slice{}, loadDist(), dist_edges);
+    }
+
+    // -----------------------------------------------------------------------
+    // Decoupling: the Access thread re-walks the same (u, j) sequence and
+    // produces the dist stream; regular-pattern data (frontier, row_ptr,
+    // col_idx) is loaded from the caches by both threads. The Execute
+    // thread runs the level loop on the queue's values.
+    // -----------------------------------------------------------------------
+
+    template <typename Channel>
+    sim::Task<void>
+    access(cpu::Core &core, Channel ch, Slice pair)
+    {
+        while (count > 0) {
+            Chunk chunk = pair.of(count);
+            for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+                auto u = static_cast<std::uint32_t>(co_await core.load(curFrontier(i), 4));
+                auto jb = static_cast<std::uint32_t>(co_await core.load(g.row_ptr.addr(u), 4));
+                auto je = static_cast<std::uint32_t>(
+                    co_await core.load(g.row_ptr.addr(u + 1), 4));
+                for (std::uint32_t j = jb; j < je; ++j) {
+                    auto v = static_cast<std::uint32_t>(
+                        co_await core.load(g.col_idx.addr(j), 4));
+                    if constexpr (Channel::kHardwareFetch) {
+                        co_await core.compute(1);
+                        co_await ch.api.producePtr(core, ch.q, dist.addr(v));
+                    } else {
+                        std::uint64_t dv = co_await core.load(dist.addr(v), 4);
+                        co_await ch.swq.produce(core, dv);
                     }
                 }
             }
-            cur.swap(next);
-            ++level;
+            co_await core.storeFence();
+            co_await endLevel(core, false);  // Execute's pair 0 does the bookkeeping
         }
     }
 
-    std::string name() const override { return "bfs"; }
-    RunResult run(const RunConfig &cfg) override;
+    template <typename Channel>
+    sim::Task<void>
+    execute(cpu::Core &core, Channel ch, Slice pair)
+    {
+        return levels(core, pair,
+                      [ch](cpu::Core &c, std::uint32_t) { return ch.consume(c); }, 0);
+    }
 
-  private:
-    SparseMatrix g_;
-    std::uint32_t root_ = 0;
-    std::vector<std::uint32_t> golden_;
-};
+    // -----------------------------------------------------------------------
+    // DeSC: Compute has no memory visibility. Supply streams (v, dist[v])
+    // pairs through the architectural queue; Compute sends discovered stores
+    // back, and Supply performs both the store and the frontier append.
+    // Supply cannot start the next level until Compute drains -- the loss of
+    // runahead the paper describes for BFS.
+    // -----------------------------------------------------------------------
 
-RunResult
-Bfs::run(const RunConfig &cfg)
-{
-    RunResult res;
-    res.workload = name();
-    res.technique = techniqueName(cfg.tech);
-
-    unsigned threads = cfg.tech == Technique::NoPrefetch ||
-                               cfg.tech == Technique::SwPrefetch ||
-                               cfg.tech == Technique::LimaPrefetch
-                           ? 1
-                           : cfg.threads;
-
-    soc::SocConfig scfg = cfg.soc;
-    scfg.num_cores = std::max(scfg.num_cores, threads);
-    soc::Soc soc(scfg);
-    os::Process &proc = soc.createProcess("bfs");
-
-    // The frontier can exceed |V| because of benign duplicate appends.
-    const size_t frontier_cap = size_t(g_.rows) + g_.nnz();
-    BfsSim s;
-    s.g = SimCsr::upload(proc, g_, /*with_vals=*/false);
-    s.dist = SimArray<std::uint32_t>(proc, g_.rows, "dist");
-    s.frontier_a = SimArray<std::uint32_t>(proc, frontier_cap, "frontier_a");
-    s.frontier_b = SimArray<std::uint32_t>(proc, frontier_cap, "frontier_b");
-    s.next_tail = proc.alloc(64, "next_tail");
-    s.vertices = g_.rows;
-    s.root = root_;
-
-    std::vector<std::uint32_t> dist_init(g_.rows, kInf);
-    dist_init[root_] = 0;
-    s.dist.upload(dist_init);
-    s.frontier_a.write(0, root_);
-
-    LevelState ls;
-    ls.count = 1;
-    ls.cur_is_a = true;
-    ls.level = 0;
-
-    std::optional<core::MapleApi> api;
-    std::optional<baselines::DropletPrefetcher> droplet;
-    std::vector<std::unique_ptr<baselines::SwQueue>> swqs;
-    std::vector<std::unique_ptr<baselines::DescQueue>> descs;
-    std::unique_ptr<std::uint32_t[]> exec_levels;
-    std::unique_ptr<std::uint64_t[]> edges_done;
-
-    const bool decoupled = cfg.tech == Technique::MapleDecouple ||
-                           cfg.tech == Technique::SwDecouple ||
-                           cfg.tech == Technique::Desc;
-    unsigned pairs = decoupled ? std::max(1u, threads / 2) : 0;
-    unsigned total_workers = decoupled ? pairs * 2 : threads;
-    sim::Barrier bar(total_workers);
-
-    if (cfg.tech == Technique::MapleDecouple || cfg.tech == Technique::LimaPrefetch) {
-        api.emplace(core::MapleApi::attach(proc, soc.maple()));
-        unsigned queues = cfg.tech == Technique::LimaPrefetch ? 1 : pairs;
-        auto setup = [](core::MapleApi &a, cpu::Core &c, unsigned nq,
-                        unsigned entries) -> sim::Task<void> {
-            co_await a.init(c, nq, entries, 4);
-            for (unsigned q = 0; q < nq; ++q) {
-                bool ok = co_await a.open(c, q);
-                MAPLE_ASSERT(ok, "failed to open MAPLE queue %u", q);
+    sim::Task<void>
+    descSupply(sim::EventQueue &eq, cpu::Core &core, DescPair &dp, Slice pair)
+    {
+        baselines::DescQueue &dq = dp.queue;
+        while (count > 0) {
+            Chunk chunk = pair.of(count);
+            std::uint64_t produced_edges = 0;
+            for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+                auto u = static_cast<std::uint32_t>(co_await core.load(curFrontier(i), 4));
+                auto jb = static_cast<std::uint32_t>(co_await core.load(g.row_ptr.addr(u), 4));
+                auto je = static_cast<std::uint32_t>(
+                    co_await core.load(g.row_ptr.addr(u + 1), 4));
+                co_await dq.produceValue(core, je - jb);
+                for (std::uint32_t j = jb; j < je; ++j) {
+                    auto v = static_cast<std::uint32_t>(
+                        co_await core.load(g.col_idx.addr(j), 4));
+                    co_await dq.produceValue(core, v);
+                    // Loss of decoupling: every prior edge *may* have stored
+                    // to dist[] (Compute decides), so sequential semantics
+                    // force this terminal load to wait until Compute has
+                    // retired all program-order-prior edges and their stores
+                    // are performed. This is why DeSC loses its runahead on
+                    // BFS (Figure 12) -- MAPLE's software contract (stale
+                    // reads are benign, updates commit at the epoch barrier)
+                    // removes the constraint.
+                    while (dp.items_done < produced_edges) {
+                        if (!co_await drainDescStores(core, dq, false))
+                            co_await sim::delay(eq, 10);
+                    }
+                    co_await drainDescStores(core, dq, /*all=*/true);
+                    co_await dq.produceLoad(core, dist.addr(v), 4);
+                    ++produced_edges;
+                }
             }
-        };
-        soc.run({sim::spawn(setup(*api, soc.core(0), queues, cfg.queue_entries))},
-                cfg.max_cycles);
-    } else if (cfg.tech == Technique::SwDecouple) {
-        for (unsigned p = 0; p < pairs; ++p)
-            swqs.push_back(std::make_unique<baselines::SwQueue>(proc, 1024));
-    } else if (cfg.tech == Technique::Desc) {
-        exec_levels = std::make_unique<std::uint32_t[]>(pairs);
-        edges_done = std::make_unique<std::uint64_t[]>(pairs);
-        for (unsigned p = 0; p < pairs; ++p)
-            descs.push_back(std::make_unique<baselines::DescQueue>(
-                soc.eq(), soc.physMem(), soc.addLlcPort(soc.coreTile(2 * p))));
-    } else if (cfg.tech == Technique::Droplet) {
-        droplet.emplace(soc);
-        droplet->bind(proc, s.g.col_idx.addr(0), s.g.col_idx.size(), 4,
-                      s.dist.addr(0), 4);
+            co_await dq.produceValue(core, kInf);  // level-end sentinel
+            // Serve Compute until it finishes the level (loss of runahead).
+            while (dp.phases_done <= level)
+                if (!co_await drainDescStores(core, dq, false))
+                    co_await sim::delay(eq, 20);
+            co_await drainDescStores(core, dq, /*all=*/true);
+            co_await core.storeFence();
+            co_await endLevel(core, pair.index == 0);
+        }
     }
 
-    std::vector<sim::Join> joins;
-    switch (cfg.tech) {
-      case Technique::Doall:
-      case Technique::NoPrefetch:
-      case Technique::Droplet:
-        for (unsigned t = 0; t < threads; ++t)
-            joins.push_back(sim::spawn(bfsWorker(soc.core(t), s, ls, bar, t,
-                                                 threads, LoadFetch{s},
-                                                 NoPrologue{})));
-        break;
-      case Technique::SwPrefetch:
-        joins.push_back(sim::spawn(bfsWorker(soc.core(0), s, ls, bar, 0, 1,
-                                             LoadFetch{s}, NoPrologue{},
-                                             cfg.prefetch_distance)));
-        break;
-      case Technique::LimaPrefetch:
-        joins.push_back(sim::spawn(
-            limaWorker(soc.core(0), s, ls, bar, *api, 0, 4)));
-        break;
-      case Technique::MapleDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            joins.push_back(sim::spawn(mapleAccess(soc.core(2 * p), s, ls, bar,
-                                                   *api, p, p, pairs)));
-            joins.push_back(sim::spawn(mapleExecute(soc.core(2 * p + 1), s, ls,
-                                                    bar, *api, p, p, pairs,
-                                                    p == 0)));
-        }
-        break;
-      case Technique::SwDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            joins.push_back(sim::spawn(
-                swqAccess(soc.core(2 * p), s, ls, bar, *swqs[p], p, pairs)));
-            joins.push_back(sim::spawn(swqExecute(soc.core(2 * p + 1), s, ls,
-                                                  bar, *swqs[p], p, pairs,
-                                                  p == 0)));
-        }
-        break;
-      case Technique::Desc:
-        for (unsigned p = 0; p < pairs; ++p) {
-            joins.push_back(sim::spawn(
-                descSupply(soc.eq(), soc.core(2 * p), s, ls, bar, *descs[p], p,
-                           pairs, &exec_levels[p], &edges_done[p], p == 0)));
-            joins.push_back(sim::spawn(descCompute(soc.core(2 * p + 1), s, ls,
-                                                   bar, *descs[p],
-                                                   &exec_levels[p],
-                                                   &edges_done[p])));
-        }
-        break;
+    /** Perform pending Compute stores; dist stores also append the vertex. */
+    sim::Task<bool>
+    drainDescStores(cpu::Core &core, baselines::DescQueue &dq, bool all)
+    {
+        bool any = false;
+        do {
+            auto st = co_await dq.takeStore(core);
+            if (!st)
+                co_return any;
+            any = true;
+            co_await core.store(st->first, st->second, 4);
+            sim::Addr dist0 = dist.addr(0);
+            if (st->first >= dist0 && st->first < dist.addr(vertices)) {
+                auto v = static_cast<std::uint32_t>((st->first - dist0) / 4);
+                std::uint64_t idx = co_await core.amoAdd(next_tail, 1, 8);
+                co_await core.store(nextFrontier(idx), v, 4);
+            }
+        } while (all);
+        co_return any;
     }
 
-    res.cycles = soc.run(std::move(joins), cfg.max_cycles);
-
-    std::vector<std::uint32_t> dist = s.dist.download();
-    res.valid = true;
-    for (std::uint32_t v = 0; v < g_.rows; ++v) {
-        res.checksum += dist[v];
-        if (dist[v] != golden_[v])
-            res.valid = false;
+    sim::Task<void>
+    descCompute(cpu::Core &core, DescPair &dp, Slice /*pair*/)
+    {
+        while (count > 0) {
+            dp.items_done = 0;
+            for (;;) {
+                std::uint64_t n = co_await dp.queue.consume(core);
+                if (n == kInf)
+                    break;  // level end
+                for (std::uint64_t j = 0; j < n; ++j) {
+                    auto v = static_cast<std::uint32_t>(co_await dp.queue.consume(core));
+                    auto dv = static_cast<std::uint32_t>(co_await dp.queue.consume(core));
+                    co_await core.compute(1);
+                    // Discovery: ship the dist store back; Supply performs
+                    // it and turns it into a frontier append.
+                    if (dv == kInf)
+                        co_await dp.queue.produceStore(core, dist.addr(v), level + 1);
+                    ++dp.items_done;  // retires the edge (ordering token)
+                }
+            }
+            ++dp.phases_done;
+            co_await endLevel(core, false);
+        }
     }
-    collectCoreStats(soc, res);
-    return res;
-}
+
+    // -----------------------------------------------------------------------
+    // LIMA prefetch: one LIMA per frontier vertex, issued dist_v vertices
+    // ahead.
+    // -----------------------------------------------------------------------
+
+    sim::Task<void>
+    lima(cpu::Core &core, core::MapleApi &api, unsigned /*prefetch_distance*/)
+    {
+        const unsigned q = 0;
+        const unsigned dist_v = 4;
+        while (count > 0) {
+            // Prologue: LIMA for the first dist_v vertices.
+            std::uint64_t issued = std::min<std::uint64_t>(dist_v, count);
+            std::uint64_t queued_elems = 0;
+            for (std::uint64_t i = 0; i < issued; ++i)
+                queued_elems += co_await issueLima(core, api, q, i);
+            std::uint64_t consumed = 0;
+
+            for (std::uint64_t i = 0; i < count; ++i) {
+                if (issued < count) {
+                    queued_elems += co_await issueLima(core, api, q, issued);
+                    ++issued;
+                }
+                auto u = static_cast<std::uint32_t>(co_await core.load(curFrontier(i), 4));
+                auto jb = static_cast<std::uint32_t>(co_await core.load(g.row_ptr.addr(u), 4));
+                auto je = static_cast<std::uint32_t>(
+                    co_await core.load(g.row_ptr.addr(u + 1), 4));
+                for (std::uint32_t j = jb; j < je; ++j) {
+                    auto v = static_cast<std::uint32_t>(
+                        co_await core.load(g.col_idx.addr(j), 4));
+                    auto dv = static_cast<std::uint32_t>(co_await api.consume(core, q));
+                    ++consumed;
+                    co_await core.compute(1);
+                    if (dv == kInf)
+                        co_await discover(core, v);
+                }
+            }
+            MAPLE_ASSERT(consumed == queued_elems, "LIMA stream drift");
+            co_await core.storeFence();
+            co_await endLevel(core, true);
+        }
+    }
+
+    /** Issue one LIMA covering frontier vertex @p i's adjacency; returns #edges. */
+    sim::Task<std::uint64_t>
+    issueLima(cpu::Core &core, core::MapleApi &api, unsigned q, std::uint64_t i)
+    {
+        auto u = static_cast<std::uint32_t>(co_await core.load(curFrontier(i), 4));
+        auto jb = static_cast<std::uint32_t>(co_await core.load(g.row_ptr.addr(u), 4));
+        auto je = static_cast<std::uint32_t>(co_await core.load(g.row_ptr.addr(u + 1), 4));
+        if (je > jb) {
+            core::LimaRequest req;
+            req.a_base = dist.addr(0);
+            req.b_base = g.col_idx.addr(0);
+            req.start = jb;
+            req.end = je;
+            req.target_queue = q;
+            co_await api.lima(core, req);
+        }
+        co_return je - jb;
+    }
+
+    void
+    check(RunResult &res) const
+    {
+        std::vector<std::uint32_t> got = dist.download();
+        res.valid = true;
+        for (std::uint32_t v = 0; v < vertices; ++v) {
+            res.checksum += got[v];
+            if (got[v] != host.golden[v])
+                res.valid = false;
+        }
+    }
+};
 
 }  // namespace
 
 std::unique_ptr<Workload>
 makeBfs(unsigned scale, unsigned edge_factor, std::uint64_t seed)
 {
-    return std::make_unique<Bfs>(scale, edge_factor, seed);
+    return std::make_unique<TechniqueWorkload<BfsKernels>>("bfs", scale, edge_factor,
+                                                           seed);
 }
 
 }  // namespace maple::app

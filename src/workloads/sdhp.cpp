@@ -8,378 +8,248 @@
  * sequentially. Unlike SPMV there is no reduction -- each element produces
  * one store -- which makes the kernel even more memory-bound.
  */
-#include <optional>
-
-#include "baselines/desc.hpp"
-#include "baselines/droplet.hpp"
-#include "baselines/sw_queue.hpp"
-#include "workloads/workload.hpp"
+#include "workloads/technique.hpp"
 
 namespace maple::app {
 
 namespace {
 
-struct SdhpSim {
+/** Device-side state for one run, and the kernel of every technique role. */
+struct SdhpKernels : KernelTraits {
+    /** The host dataset and its golden result. */
+    struct Host {
+        SparseMatrix m;
+        std::vector<float> dense;
+        std::vector<float> golden;
+
+        Host(std::uint32_t rows, std::uint32_t cols, std::uint32_t nnz_per_row,
+             std::uint64_t seed)
+            : m(makeSkewedSparse(rows, cols, nnz_per_row, seed, 5.0)),
+              dense(makeDenseVector(std::uint64_t(rows) * cols, seed ^ 0xfeed))
+        {
+            golden.resize(m.nnz());
+            for (std::uint32_t r = 0; r < rows; ++r)
+                for (std::uint32_t j = m.row_ptr[r]; j < m.row_ptr[r + 1]; ++j)
+                    golden[j] = m.vals[j] * dense[std::uint64_t(r) * cols + m.col_idx[j]];
+        }
+    };
+
+    const Host &host;
     SimCsr m;
     SimArray<float> dense;  ///< rows x cols, row-major
     SimArray<float> out;    ///< nnz results
-    std::uint32_t rows = 0, cols = 0;
-};
+    std::uint32_t rows, cols;
 
-sim::Addr
-denseAddr(const SdhpSim &s, std::uint64_t r, std::uint32_t c)
-{
-    return s.dense.addr(r * s.cols + c);
-}
-
-sim::Task<void>
-doallWorker(cpu::Core &core, SdhpSim &s, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await core.load(denseAddr(s, r, c), 4));
-            co_await core.compute(1);
-            co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swPrefetchWorker(cpu::Core &core, SdhpSim &s, Chunk rows, unsigned dist)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            if (j + dist < je) {  // same-row prefetch: the row base differs
-                auto cd = static_cast<std::uint32_t>(
-                    co_await core.load(s.m.col_idx.addr(j + dist), 4));
-                co_await core.compute(4);
-                co_await core.prefetchL1(denseAddr(s, r, cd));
-            }
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await core.load(denseAddr(s, r, c), 4));
-            co_await core.compute(1);
-            co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-limaWorker(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q)
-{
-    // One LIMA per row (the row selects the dense-matrix base), launched one
-    // row ahead of consumption so fetches overlap the current row's work.
-    const std::uint32_t rows = s.rows;
-    auto pb = static_cast<std::uint32_t>(co_await core.load(s.m.row_ptr.addr(0), 4));
-    std::uint32_t pe0 = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(1), 4));
-    core::LimaRequest req;
-    req.b_base = s.m.col_idx.addr(0);
-    req.a_base = denseAddr(s, 0, 0);
-    req.start = pb;
-    req.end = pe0;
-    req.target_queue = q;
-    co_await api.lima(core, req);
-
-    PairedConsumer cons{api, q, s.m.col_idx.size(), false, 0};
-    auto jb = pb;
-    std::uint32_t next_b = pe0;
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        if (r + 1 < rows) {
-            auto ne = static_cast<std::uint32_t>(
-                co_await core.load(s.m.row_ptr.addr(r + 2), 4));
-            req.a_base = denseAddr(s, r + 1, 0);
-            req.start = next_b;
-            req.end = ne;
-            co_await api.lima(core, req);
-            next_b = ne;
-        }
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await cons.next(core));
-            co_await core.compute(1);
-            co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-mapleAccess(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            co_await core.compute(1);
-            co_await api.producePtr(core, q, denseAddr(s, r, c));
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-mapleExecute(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await api.consume(core, q));
-            co_await core.compute(1);
-            co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swqAccess(cpu::Core &core, SdhpSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            std::uint64_t d = co_await core.load(denseAddr(s, r, c), 4);
-            co_await swq.produce(core, d);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swqExecute(cpu::Core &core, SdhpSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await swq.consume(core));
-            co_await core.compute(1);
-            co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-descSupply(sim::EventQueue &eq, cpu::Core &core, SdhpSim &s,
-           baselines::DescQueue &dq, Chunk rows, const bool *exec_done)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        co_await dq.produceValue(core, (std::uint64_t(je - jb) << 32) | jb);
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            co_await core.compute(1);
-            co_await dq.produceLoad(core, s.m.vals.addr(j), 4);
-            co_await dq.produceLoad(core, denseAddr(s, r, c), 4);
-        }
-        while (co_await dq.drainOneStore(core)) {
-        }
-        jb = je;
-    }
-    while (!*exec_done || !dq.storeQueueEmpty()) {
-        if (!co_await dq.drainOneStore(core))
-            co_await sim::delay(eq, 20);
-    }
-}
-
-sim::Task<void>
-descCompute(cpu::Core &core, SdhpSim &s, baselines::DescQueue &dq, Chunk rows,
-            bool *exec_done)
-{
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        std::uint64_t hdr = co_await dq.consume(core);
-        auto n = static_cast<std::uint32_t>(hdr >> 32);
-        auto jb = static_cast<std::uint32_t>(hdr & 0xffffffffu);
-        for (std::uint32_t k = 0; k < n; ++k) {
-            float v = f32FromBits(co_await dq.consume(core));
-            float d = f32FromBits(co_await dq.consume(core));
-            co_await core.compute(1);
-            co_await dq.produceStore(core, s.out.addr(jb + k), bitsFromF32(v * d));
-        }
-    }
-    *exec_done = true;
-}
-
-class Sdhp final : public Workload {
-  public:
-    Sdhp(std::uint32_t rows, std::uint32_t cols, std::uint32_t nnz_per_row,
-         std::uint64_t seed)
-        : m_(makeSkewedSparse(rows, cols, nnz_per_row, seed, 5.0)),
-          dense_(makeDenseVector(std::uint64_t(rows) * cols, seed ^ 0xfeed))
+    SdhpKernels(os::Process &proc, const Host &h, unsigned /*workers*/)
+        : host(h), m(SimCsr::upload(proc, h.m, true)),
+          dense(proc, h.dense.size(), "dense"), out(proc, h.m.nnz(), "out"),
+          rows(h.m.rows), cols(h.m.cols)
     {
-        golden_.resize(m_.nnz());
-        for (std::uint32_t r = 0; r < rows; ++r)
-            for (std::uint32_t j = m_.row_ptr[r]; j < m_.row_ptr[r + 1]; ++j)
-                golden_[j] = m_.vals[j] * dense_[std::uint64_t(r) * cols + m_.col_idx[j]];
+        dense.upload(h.dense);
     }
 
-    std::string name() const override { return "sdhp"; }
-    RunResult run(const RunConfig &cfg) override;
+    sim::Addr denseAddr(std::uint64_t r, std::uint32_t c) const { return dense.addr(r * cols + c); }
 
-  private:
-    SparseMatrix m_;
-    std::vector<float> dense_;
-    std::vector<float> golden_;
-};
+    /**
+     * DROPLET registers one (index, data) physical pair; the Hadamard
+     * product's data base moves with the sparse row, which region-based
+     * registration cannot express -- the prefetcher covers row 0's slice
+     * only (a real limitation of region-bound indirect prefetchers).
+     */
+    DropletBinding droplet() const { return {m.col_idx.addr(0), m.col_idx.size(), dense.addr(0)}; }
 
-RunResult
-Sdhp::run(const RunConfig &cfg)
-{
-    RunResult res;
-    res.workload = name();
-    res.technique = techniqueName(cfg.tech);
-
-    unsigned threads = cfg.tech == Technique::NoPrefetch ||
-                               cfg.tech == Technique::SwPrefetch ||
-                               cfg.tech == Technique::LimaPrefetch
-                           ? 1
-                           : cfg.threads;
-
-    soc::SocConfig scfg = cfg.soc;
-    scfg.num_cores = std::max(scfg.num_cores, threads);
-    soc::Soc soc(scfg);
-    os::Process &proc = soc.createProcess("sdhp");
-
-    SdhpSim s;
-    s.m = SimCsr::upload(proc, m_, true);
-    s.dense = SimArray<float>(proc, dense_.size(), "dense");
-    s.dense.upload(dense_);
-    s.out = SimArray<float>(proc, m_.nnz(), "out");
-    s.rows = m_.rows;
-    s.cols = m_.cols;
-
-    std::optional<core::MapleApi> api;
-    std::optional<baselines::DropletPrefetcher> droplet;
-    std::vector<std::unique_ptr<baselines::SwQueue>> swqs;
-    std::vector<std::unique_ptr<baselines::DescQueue>> descs;
-    std::unique_ptr<bool[]> exec_done;
-
-    const bool decoupled = cfg.tech == Technique::MapleDecouple ||
-                           cfg.tech == Technique::SwDecouple ||
-                           cfg.tech == Technique::Desc;
-    unsigned pairs = decoupled ? std::max(1u, threads / 2) : 0;
-
-    if (cfg.tech == Technique::MapleDecouple || cfg.tech == Technique::LimaPrefetch) {
-        api.emplace(core::MapleApi::attach(proc, soc.maple()));
-        unsigned queues = cfg.tech == Technique::LimaPrefetch ? 1 : pairs;
-        auto setup = [](core::MapleApi &a, cpu::Core &c, unsigned nq,
-                        unsigned entries) -> sim::Task<void> {
-            co_await a.init(c, nq, entries, 4);
-            for (unsigned q = 0; q < nq; ++q) {
-                bool ok = co_await a.open(c, q);
-                MAPLE_ASSERT(ok, "failed to open MAPLE queue %u", q);
+    sim::Task<void>
+    doall(cpu::Core &core, Slice t)
+    {
+        Chunk rs = t.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            for (std::uint32_t j = jb; j < je; ++j) {
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float d = f32FromBits(co_await core.load(denseAddr(r, c), 4));
+                co_await core.compute(1);
+                co_await core.store(out.addr(j), bitsFromF32(v * d), 4);
             }
-        };
-        soc.run({sim::spawn(setup(*api, soc.core(0), queues, cfg.queue_entries))},
-                cfg.max_cycles);
-    } else if (cfg.tech == Technique::SwDecouple) {
-        for (unsigned p = 0; p < pairs; ++p)
-            swqs.push_back(std::make_unique<baselines::SwQueue>(proc, 1024));
-    } else if (cfg.tech == Technique::Desc) {
-        exec_done = std::make_unique<bool[]>(pairs);
-        for (unsigned p = 0; p < pairs; ++p)
-            descs.push_back(std::make_unique<baselines::DescQueue>(
-                soc.eq(), soc.physMem(), soc.addLlcPort(soc.coreTile(2 * p))));
-    } else if (cfg.tech == Technique::Droplet) {
-        // DROPLET registers one (index, data) physical pair; the Hadamard
-        // product's data base moves with the sparse row, which region-based
-        // registration cannot express -- the prefetcher covers row 0's slice
-        // only (a real limitation of region-bound indirect prefetchers).
-        droplet.emplace(soc);
-        droplet->bind(proc, s.m.col_idx.addr(0), s.m.col_idx.size(), 4,
-                      s.dense.addr(0), 4);
+            jb = je;
+        }
     }
 
-    std::vector<sim::Join> joins;
-    switch (cfg.tech) {
-      case Technique::Doall:
-      case Technique::NoPrefetch:
-      case Technique::Droplet:
-        for (unsigned t = 0; t < threads; ++t)
-            joins.push_back(sim::spawn(
-                doallWorker(soc.core(t), s, chunkOf(m_.rows, t, threads))));
-        break;
-      case Technique::SwPrefetch:
-        joins.push_back(sim::spawn(swPrefetchWorker(
-            soc.core(0), s, Chunk{0, m_.rows}, cfg.prefetch_distance)));
-        break;
-      case Technique::LimaPrefetch:
-        joins.push_back(sim::spawn(limaWorker(soc.core(0), s, *api, 0)));
-        break;
-      case Technique::MapleDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(mapleAccess(soc.core(2 * p), s, *api, p, rows)));
-            joins.push_back(sim::spawn(mapleExecute(soc.core(2 * p + 1), s, *api, p, rows)));
+    sim::Task<void>
+    swPrefetch(cpu::Core &core, unsigned dist)
+    {
+        auto jb = static_cast<std::uint32_t>(co_await core.load(m.row_ptr.addr(0), 4));
+        for (std::uint64_t r = 0; r < rows; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            for (std::uint32_t j = jb; j < je; ++j) {
+                if (j + dist < je) {  // same-row prefetch: the row base differs
+                    auto cd = static_cast<std::uint32_t>(
+                        co_await core.load(m.col_idx.addr(j + dist), 4));
+                    co_await core.compute(4);
+                    co_await core.prefetchL1(denseAddr(r, cd));
+                }
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float d = f32FromBits(co_await core.load(denseAddr(r, c), 4));
+                co_await core.compute(1);
+                co_await core.store(out.addr(j), bitsFromF32(v * d), 4);
+            }
+            jb = je;
         }
-        break;
-      case Technique::SwDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(swqAccess(soc.core(2 * p), s, *swqs[p], rows)));
-            joins.push_back(sim::spawn(swqExecute(soc.core(2 * p + 1), s, *swqs[p], rows)));
-        }
-        break;
-      case Technique::Desc:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(descSupply(soc.eq(), soc.core(2 * p), s,
-                                                  *descs[p], rows, &exec_done[p])));
-            joins.push_back(sim::spawn(descCompute(soc.core(2 * p + 1), s,
-                                                   *descs[p], rows, &exec_done[p])));
-        }
-        break;
     }
 
-    res.cycles = soc.run(std::move(joins), cfg.max_cycles);
+    sim::Task<void>
+    lima(cpu::Core &core, core::MapleApi &api, unsigned /*prefetch_distance*/)
+    {
+        // One LIMA per row (the row selects the dense-matrix base), launched
+        // one row ahead of consumption so fetches overlap the current row's
+        // work.
+        const unsigned q = 0;
+        auto pb = static_cast<std::uint32_t>(co_await core.load(m.row_ptr.addr(0), 4));
+        std::uint32_t pe0 = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(1), 4));
+        core::LimaRequest req;
+        req.b_base = m.col_idx.addr(0);
+        req.a_base = denseAddr(0, 0);
+        req.start = pb;
+        req.end = pe0;
+        req.target_queue = q;
+        co_await api.lima(core, req);
 
-    std::vector<float> out = s.out.download();
-    res.valid = true;
-    for (size_t j = 0; j < golden_.size(); ++j) {
-        res.checksum += bitsFromF32(out[j]);
-        if (bitsFromF32(out[j]) != bitsFromF32(golden_[j]))
-            res.valid = false;
+        PairedConsumer cons{api, q, m.col_idx.size(), false, 0};
+        auto jb = pb;
+        std::uint32_t next_b = pe0;
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            if (r + 1 < rows) {
+                auto ne = static_cast<std::uint32_t>(
+                    co_await core.load(m.row_ptr.addr(r + 2), 4));
+                req.a_base = denseAddr(r + 1, 0);
+                req.start = next_b;
+                req.end = ne;
+                co_await api.lima(core, req);
+                next_b = ne;
+            }
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            for (std::uint32_t j = jb; j < je; ++j) {
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float d = f32FromBits(co_await cons.next(core));
+                co_await core.compute(1);
+                co_await core.store(out.addr(j), bitsFromF32(v * d), 4);
+            }
+            jb = je;
+        }
     }
-    collectCoreStats(soc, res);
-    return res;
-}
+
+    template <typename Channel>
+    sim::Task<void>
+    access(cpu::Core &core, Channel ch, Slice pair)
+    {
+        Chunk rs = pair.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            for (std::uint32_t j = jb; j < je; ++j) {
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                if constexpr (Channel::kHardwareFetch) {
+                    co_await core.compute(1);
+                    co_await ch.api.producePtr(core, ch.q, denseAddr(r, c));
+                } else {
+                    std::uint64_t d = co_await core.load(denseAddr(r, c), 4);
+                    co_await ch.swq.produce(core, d);
+                }
+            }
+            jb = je;
+        }
+    }
+
+    template <typename Channel>
+    sim::Task<void>
+    execute(cpu::Core &core, Channel ch, Slice pair)
+    {
+        Chunk rs = pair.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            for (std::uint32_t j = jb; j < je; ++j) {
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float d = f32FromBits(co_await ch.consume(core));
+                co_await core.compute(1);
+                co_await core.store(out.addr(j), bitsFromF32(v * d), 4);
+            }
+            jb = je;
+        }
+    }
+
+    sim::Task<void>
+    descSupply(sim::EventQueue &eq, cpu::Core &core, DescPair &dp, Slice pair)
+    {
+        baselines::DescQueue &dq = dp.queue;
+        Chunk rs = pair.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            co_await dq.produceValue(core, (std::uint64_t(je - jb) << 32) | jb);
+            for (std::uint32_t j = jb; j < je; ++j) {
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                co_await core.compute(1);
+                co_await dq.produceLoad(core, m.vals.addr(j), 4);
+                co_await dq.produceLoad(core, denseAddr(r, c), 4);
+            }
+            while (co_await dq.drainOneStore(core)) {
+            }
+            jb = je;
+        }
+        while (dp.phases_done == 0 || !dq.storeQueueEmpty()) {
+            if (!co_await dq.drainOneStore(core))
+                co_await sim::delay(eq, 20);
+        }
+    }
+
+    sim::Task<void>
+    descCompute(cpu::Core &core, DescPair &dp, Slice pair)
+    {
+        Chunk rs = pair.of(rows);
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            std::uint64_t hdr = co_await dp.queue.consume(core);
+            auto n = static_cast<std::uint32_t>(hdr >> 32);
+            auto jb = static_cast<std::uint32_t>(hdr & 0xffffffffu);
+            for (std::uint32_t k = 0; k < n; ++k) {
+                float v = f32FromBits(co_await dp.queue.consume(core));
+                float d = f32FromBits(co_await dp.queue.consume(core));
+                co_await core.compute(1);
+                co_await dp.queue.produceStore(core, out.addr(jb + k), bitsFromF32(v * d));
+            }
+        }
+        dp.phases_done = 1;
+    }
+
+    void
+    check(RunResult &res) const
+    {
+        std::vector<float> got = out.download();
+        res.valid = true;
+        for (size_t j = 0; j < host.golden.size(); ++j) {
+            res.checksum += bitsFromF32(got[j]);
+            if (bitsFromF32(got[j]) != bitsFromF32(host.golden[j]))
+                res.valid = false;
+        }
+    }
+};
 
 }  // namespace
 
@@ -387,7 +257,8 @@ std::unique_ptr<Workload>
 makeSdhp(std::uint32_t rows, std::uint32_t cols, std::uint32_t nnz_per_row,
          std::uint64_t seed)
 {
-    return std::make_unique<Sdhp>(rows, cols, nnz_per_row, seed);
+    return std::make_unique<TechniqueWorkload<SdhpKernels>>("sdhp", rows, cols,
+                                                            nnz_per_row, seed);
 }
 
 }  // namespace maple::app

@@ -8,428 +8,289 @@
  * the paper is implemented against the same kernel and validated bitwise
  * against a host-computed golden result.
  */
-#include <optional>
-
-#include "baselines/desc.hpp"
-#include "baselines/droplet.hpp"
-#include "baselines/sw_queue.hpp"
-#include "workloads/workload.hpp"
+#include "workloads/technique.hpp"
 
 namespace maple::app {
 
 namespace {
 
-/** Device-side state for one run. */
-struct SpmvSim {
+/** Device-side state for one run, and the kernel of every technique role. */
+struct SpmvKernels : KernelTraits {
+    /** The host dataset and its golden result. */
+    struct Host {
+        SparseMatrix m;
+        std::vector<float> x;
+        std::vector<float> golden;
+
+        Host(std::uint32_t rows, std::uint32_t cols, std::uint32_t nnz_per_row,
+             std::uint64_t seed)
+            : m(makeSkewedSparse(rows, cols, nnz_per_row, seed, 2.0)),
+              x(makeDenseVector(cols, seed ^ 0xdecaf))
+        {
+            golden.resize(rows);
+            for (std::uint32_t r = 0; r < rows; ++r) {
+                float acc = 0.0f;
+                for (std::uint32_t j = m.row_ptr[r]; j < m.row_ptr[r + 1]; ++j)
+                    acc += m.vals[j] * x[m.col_idx[j]];
+                golden[r] = acc;
+            }
+        }
+    };
+
+    const Host &host;
     SimCsr m;
     SimArray<float> x;
     SimArray<float> y;
-    std::uint32_t rows = 0;
-};
+    std::uint32_t rows;
 
-// ---------------------------------------------------------------------------
-// doall (also the no-prefetch single-thread baseline)
-// ---------------------------------------------------------------------------
-
-sim::Task<void>
-doallWorker(cpu::Core &core, SpmvSim &s, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        float acc = 0.0f;
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await core.load(s.x.addr(c), 4));
-            co_await core.compute(1);  // fused multiply-add
-            acc += v * xv;
-        }
-        co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
-        jb = je;
+    SpmvKernels(os::Process &proc, const Host &h, unsigned /*workers*/)
+        : host(h), m(SimCsr::upload(proc, h.m, /*with_vals=*/true)),
+          x(proc, h.x.size(), "x"), y(proc, h.m.rows, "y"), rows(h.m.rows)
+    {
+        x.upload(h.x);
     }
-}
 
-// ---------------------------------------------------------------------------
-// Software prefetching (Ainsworth & Jones-style indirect prefetch insertion)
-// ---------------------------------------------------------------------------
+    DropletBinding droplet() const { return {m.col_idx.addr(0), m.col_idx.size(), x.addr(0)}; }
 
-sim::Task<void>
-swPrefetchWorker(cpu::Core &core, SpmvSim &s, Chunk rows, unsigned dist,
-                 std::uint32_t nnz_total)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        float acc = 0.0f;
-        for (std::uint32_t j = jb; j < je; ++j) {
-            // Inserted prefetch code: load col_idx[j+dist] (the extra load
-            // software prefetching cannot avoid), compute the target address
-            // and prefetch x[c'] into the L1.
-            if (j + dist < nnz_total) {
-                auto cd = static_cast<std::uint32_t>(
-                    co_await core.load(s.m.col_idx.addr(j + dist), 4));
-                co_await core.compute(4);  // bounds check + address computation
-                co_await core.prefetchL1(s.x.addr(cd));
+    // -----------------------------------------------------------------------
+    // doall (also the no-prefetch single-thread baseline)
+    // -----------------------------------------------------------------------
+
+    sim::Task<void>
+    doall(cpu::Core &core, Slice t)
+    {
+        Chunk rs = t.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            float acc = 0.0f;
+            for (std::uint32_t j = jb; j < je; ++j) {
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float xv = f32FromBits(co_await core.load(x.addr(c), 4));
+                co_await core.compute(1);  // fused multiply-add
+                acc += v * xv;
             }
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await core.load(s.x.addr(c), 4));
-            co_await core.compute(1);
-            acc += v * xv;
+            co_await core.store(y.addr(r), bitsFromF32(acc), 4);
+            jb = je;
         }
-        co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
-        jb = je;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MAPLE LIMA prefetch: one API call offloads a whole row of A[B[i]], data is
-// consumed from the hardware queue (two 4B words per load: ConsumePair).
-// ---------------------------------------------------------------------------
-
-sim::Task<void>
-limaWorker(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q,
-           unsigned dist_rows)
-{
-    const std::uint32_t rows = s.rows;
-    // Row bounds for the LIMA launch stream (runs dist_rows ahead).
-    auto pb = static_cast<std::uint32_t>(co_await core.load(s.m.row_ptr.addr(0), 4));
-    std::uint32_t prologue = std::min(dist_rows, rows);
-    for (std::uint32_t r = 0; r < prologue; ++r) {
-        auto pe = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        core::LimaRequest req;
-        req.a_base = s.x.addr(0);
-        req.b_base = s.m.col_idx.addr(0);
-        req.start = pb;
-        req.end = pe;
-        req.target_queue = q;
-        co_await api.lima(core, req);
-        pb = pe;
     }
 
-    PairedConsumer cons{api, q, s.m.col_idx.size(), false, 0};
-    auto jb = static_cast<std::uint32_t>(co_await core.load(s.m.row_ptr.addr(0), 4));
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        if (r + dist_rows < rows) {
+    // -----------------------------------------------------------------------
+    // Software prefetching (Ainsworth & Jones-style indirect prefetch
+    // insertion)
+    // -----------------------------------------------------------------------
+
+    sim::Task<void>
+    swPrefetch(cpu::Core &core, unsigned dist)
+    {
+        const auto nnz_total = static_cast<std::uint32_t>(m.col_idx.size());
+        auto jb = static_cast<std::uint32_t>(co_await core.load(m.row_ptr.addr(0), 4));
+        for (std::uint64_t r = 0; r < rows; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            float acc = 0.0f;
+            for (std::uint32_t j = jb; j < je; ++j) {
+                // Inserted prefetch code: load col_idx[j+dist] (the extra
+                // load software prefetching cannot avoid), compute the target
+                // address and prefetch x[c'] into the L1.
+                if (j + dist < nnz_total) {
+                    auto cd = static_cast<std::uint32_t>(
+                        co_await core.load(m.col_idx.addr(j + dist), 4));
+                    co_await core.compute(4);  // bounds check + address computation
+                    co_await core.prefetchL1(x.addr(cd));
+                }
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float xv = f32FromBits(co_await core.load(x.addr(c), 4));
+                co_await core.compute(1);
+                acc += v * xv;
+            }
+            co_await core.store(y.addr(r), bitsFromF32(acc), 4);
+            jb = je;
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // MAPLE LIMA prefetch: one API call offloads a whole row of A[B[i]], data
+    // is consumed from the hardware queue (two 4B words per load:
+    // ConsumePair).
+    // -----------------------------------------------------------------------
+
+    sim::Task<void>
+    lima(cpu::Core &core, core::MapleApi &api, unsigned prefetch_distance)
+    {
+        const unsigned q = 0;
+        const unsigned dist_rows = std::max(2u, prefetch_distance / 2);
+        // Row bounds for the LIMA launch stream (runs dist_rows ahead).
+        auto pb = static_cast<std::uint32_t>(co_await core.load(m.row_ptr.addr(0), 4));
+        std::uint32_t prologue = std::min(dist_rows, rows);
+        for (std::uint32_t r = 0; r < prologue; ++r) {
             auto pe = static_cast<std::uint32_t>(
-                co_await core.load(s.m.row_ptr.addr(r + dist_rows + 1), 4));
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
             core::LimaRequest req;
-            req.a_base = s.x.addr(0);
-            req.b_base = s.m.col_idx.addr(0);
+            req.a_base = x.addr(0);
+            req.b_base = m.col_idx.addr(0);
             req.start = pb;
             req.end = pe;
             req.target_queue = q;
             co_await api.lima(core, req);
             pb = pe;
         }
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        float acc = 0.0f;
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await cons.next(core));
-            co_await core.compute(1);
-            acc += v * xv;
-        }
-        co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
-        jb = je;
-    }
-}
 
-// ---------------------------------------------------------------------------
-// Decoupled access/execute: MAPLE, shared-memory queue and DeSC variants
-// ---------------------------------------------------------------------------
-
-sim::Task<void>
-mapleAccess(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            co_await core.compute(1);  // address generation
-            co_await api.producePtr(core, q, s.x.addr(c));
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-mapleExecute(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        float acc = 0.0f;
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await api.consume(core, q));
-            co_await core.compute(1);
-            acc += v * xv;
-        }
-        co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swqAccess(cpu::Core &core, SpmvSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            // The access core itself performs the IMA -- on this in-order
-            // core the load blocks, which is exactly the loss of runahead.
-            std::uint64_t xv = co_await core.load(s.x.addr(c), 4);
-            co_await swq.produce(core, xv);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swqExecute(cpu::Core &core, SpmvSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        float acc = 0.0f;
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await swq.consume(core));
-            co_await core.compute(1);
-            acc += v * xv;
-        }
-        co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
-        jb = je;
-    }
-}
-
-sim::Task<void>
-descSupply(sim::EventQueue &eq, cpu::Core &core, SpmvSim &s,
-           baselines::DescQueue &dq, Chunk rows, const bool *exec_done)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        co_await dq.produceValue(core, je - jb);
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            co_await core.compute(1);
-            // Terminal loads: the Compute core has no memory visibility, so
-            // both the value stream and the IMA go through the queue.
-            co_await dq.produceLoad(core, s.m.vals.addr(j), 4);
-            co_await dq.produceLoad(core, s.x.addr(c), 4);
-        }
-        // Service Compute-side stores that have accumulated.
-        while (co_await dq.drainOneStore(core)) {
-        }
-        jb = je;
-    }
-    while (!*exec_done || !dq.storeQueueEmpty()) {
-        if (!co_await dq.drainOneStore(core))
-            co_await sim::delay(eq, 20);
-    }
-}
-
-sim::Task<void>
-descCompute(cpu::Core &core, SpmvSim &s, baselines::DescQueue &dq, Chunk rows,
-            bool *exec_done)
-{
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto n = static_cast<std::uint32_t>(co_await dq.consume(core));
-        float acc = 0.0f;
-        for (std::uint32_t j = 0; j < n; ++j) {
-            float v = f32FromBits(co_await dq.consume(core));
-            float xv = f32FromBits(co_await dq.consume(core));
-            co_await core.compute(1);
-            acc += v * xv;
-        }
-        co_await dq.produceStore(core, s.y.addr(r), bitsFromF32(acc));
-    }
-    *exec_done = true;
-}
-
-// ---------------------------------------------------------------------------
-// The Workload wrapper
-// ---------------------------------------------------------------------------
-
-class Spmv final : public Workload {
-  public:
-    Spmv(std::uint32_t rows, std::uint32_t cols, std::uint32_t nnz_per_row,
-         std::uint64_t seed)
-        : m_(makeSkewedSparse(rows, cols, nnz_per_row, seed, 2.0)),
-          x_(makeDenseVector(cols, seed ^ 0xdecaf))
-    {
-        golden_.resize(rows);
+        PairedConsumer cons{api, q, m.col_idx.size(), false, 0};
+        auto jb = static_cast<std::uint32_t>(co_await core.load(m.row_ptr.addr(0), 4));
         for (std::uint32_t r = 0; r < rows; ++r) {
-            float acc = 0.0f;
-            for (std::uint32_t j = m_.row_ptr[r]; j < m_.row_ptr[r + 1]; ++j)
-                acc += m_.vals[j] * x_[m_.col_idx[j]];
-            golden_[r] = acc;
-        }
-    }
-
-    std::string name() const override { return "spmv"; }
-
-    RunResult run(const RunConfig &cfg) override;
-
-  private:
-    SparseMatrix m_;
-    std::vector<float> x_;
-    std::vector<float> golden_;
-};
-
-RunResult
-Spmv::run(const RunConfig &cfg)
-{
-    RunResult res;
-    res.workload = name();
-    res.technique = techniqueName(cfg.tech);
-
-    unsigned threads = cfg.tech == Technique::NoPrefetch ||
-                               cfg.tech == Technique::SwPrefetch ||
-                               cfg.tech == Technique::LimaPrefetch
-                           ? 1
-                           : cfg.threads;
-
-    soc::SocConfig scfg = cfg.soc;
-    scfg.num_cores = std::max(scfg.num_cores, threads);
-    soc::Soc soc(scfg);
-    os::Process &proc = soc.createProcess("spmv");
-
-    SpmvSim s;
-    s.m = SimCsr::upload(proc, m_, /*with_vals=*/true);
-    s.x = SimArray<float>(proc, x_.size(), "x");
-    s.x.upload(x_);
-    s.y = SimArray<float>(proc, m_.rows, "y");
-    s.rows = m_.rows;
-
-    std::optional<core::MapleApi> api;
-    std::optional<baselines::DropletPrefetcher> droplet;
-    std::vector<std::unique_ptr<baselines::SwQueue>> swqs;
-    std::vector<std::unique_ptr<baselines::DescQueue>> descs;
-    std::unique_ptr<bool[]> exec_done;
-
-    const bool decoupled = cfg.tech == Technique::MapleDecouple ||
-                           cfg.tech == Technique::SwDecouple ||
-                           cfg.tech == Technique::Desc;
-    unsigned pairs = decoupled ? std::max(1u, threads / 2) : 0;
-
-    // Technique-specific setup (runs before the measured region).
-    if (cfg.tech == Technique::MapleDecouple || cfg.tech == Technique::LimaPrefetch) {
-        api.emplace(core::MapleApi::attach(proc, soc.maple()));
-        unsigned queues = cfg.tech == Technique::LimaPrefetch ? 1 : pairs;
-        auto setup = [](core::MapleApi &a, cpu::Core &c, unsigned nq,
-                        unsigned entries) -> sim::Task<void> {
-            co_await a.init(c, nq, entries, 4);
-            for (unsigned q = 0; q < nq; ++q) {
-                bool ok = co_await a.open(c, q);
-                MAPLE_ASSERT(ok, "failed to open MAPLE queue %u", q);
+            if (r + dist_rows < rows) {
+                auto pe = static_cast<std::uint32_t>(
+                    co_await core.load(m.row_ptr.addr(r + dist_rows + 1), 4));
+                core::LimaRequest req;
+                req.a_base = x.addr(0);
+                req.b_base = m.col_idx.addr(0);
+                req.start = pb;
+                req.end = pe;
+                req.target_queue = q;
+                co_await api.lima(core, req);
+                pb = pe;
             }
-        };
-        soc.run({sim::spawn(setup(*api, soc.core(0), queues, cfg.queue_entries))},
-                cfg.max_cycles);
-    } else if (cfg.tech == Technique::SwDecouple) {
-        for (unsigned p = 0; p < pairs; ++p)
-            swqs.push_back(std::make_unique<baselines::SwQueue>(proc, 1024));
-    } else if (cfg.tech == Technique::Desc) {
-        exec_done = std::make_unique<bool[]>(pairs);
-        for (unsigned p = 0; p < pairs; ++p)
-            descs.push_back(std::make_unique<baselines::DescQueue>(
-                soc.eq(), soc.physMem(), soc.addLlcPort(soc.coreTile(2 * p))));
-    } else if (cfg.tech == Technique::Droplet) {
-        droplet.emplace(soc);
-        droplet->bind(proc, s.m.col_idx.addr(0), s.m.col_idx.size(), 4,
-                      s.x.addr(0), 4);
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            float acc = 0.0f;
+            for (std::uint32_t j = jb; j < je; ++j) {
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float xv = f32FromBits(co_await cons.next(core));
+                co_await core.compute(1);
+                acc += v * xv;
+            }
+            co_await core.store(y.addr(r), bitsFromF32(acc), 4);
+            jb = je;
+        }
     }
 
-    sim::Cycle t0 = soc.eq().now();
-    std::vector<sim::Join> joins;
+    // -----------------------------------------------------------------------
+    // Decoupled access/execute through a MAPLE or a shared-memory queue
+    // -----------------------------------------------------------------------
 
-    switch (cfg.tech) {
-      case Technique::Doall:
-      case Technique::NoPrefetch:
-      case Technique::Droplet:
-        for (unsigned t = 0; t < threads; ++t)
-            joins.push_back(sim::spawn(
-                doallWorker(soc.core(t), s, chunkOf(m_.rows, t, threads))));
-        break;
-      case Technique::SwPrefetch:
-        joins.push_back(sim::spawn(swPrefetchWorker(
-            soc.core(0), s, Chunk{0, m_.rows}, cfg.prefetch_distance,
-            static_cast<std::uint32_t>(m_.nnz()))));
-        break;
-      case Technique::LimaPrefetch:
-        joins.push_back(sim::spawn(
-            limaWorker(soc.core(0), s, *api, 0, std::max(2u, cfg.prefetch_distance / 2))));
-        break;
-      case Technique::MapleDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(mapleAccess(soc.core(2 * p), s, *api, p, rows)));
-            joins.push_back(sim::spawn(mapleExecute(soc.core(2 * p + 1), s, *api, p, rows)));
+    template <typename Channel>
+    sim::Task<void>
+    access(cpu::Core &core, Channel ch, Slice pair)
+    {
+        Chunk rs = pair.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            for (std::uint32_t j = jb; j < je; ++j) {
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                if constexpr (Channel::kHardwareFetch) {
+                    co_await core.compute(1);  // address generation
+                    co_await ch.api.producePtr(core, ch.q, x.addr(c));
+                } else {
+                    // The access core itself performs the IMA -- on this
+                    // in-order core the load blocks, which is exactly the
+                    // loss of runahead.
+                    std::uint64_t xv = co_await core.load(x.addr(c), 4);
+                    co_await ch.swq.produce(core, xv);
+                }
+            }
+            jb = je;
         }
-        break;
-      case Technique::SwDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(swqAccess(soc.core(2 * p), s, *swqs[p], rows)));
-            joins.push_back(sim::spawn(swqExecute(soc.core(2 * p + 1), s, *swqs[p], rows)));
-        }
-        break;
-      case Technique::Desc:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(descSupply(soc.eq(), soc.core(2 * p), s,
-                                                  *descs[p], rows,
-                                                  &exec_done[p])));
-            joins.push_back(sim::spawn(descCompute(soc.core(2 * p + 1), s,
-                                                   *descs[p], rows,
-                                                   &exec_done[p])));
-        }
-        break;
     }
 
-    res.cycles = soc.run(std::move(joins), cfg.max_cycles);
-    (void)t0;
-
-    // Validate bitwise against the host golden result.
-    std::vector<float> y = s.y.download();
-    res.valid = true;
-    res.checksum = 0;
-    for (std::uint32_t r = 0; r < m_.rows; ++r) {
-        res.checksum += bitsFromF32(y[r]);
-        if (bitsFromF32(y[r]) != bitsFromF32(golden_[r]))
-            res.valid = false;
+    template <typename Channel>
+    sim::Task<void>
+    execute(cpu::Core &core, Channel ch, Slice pair)
+    {
+        Chunk rs = pair.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            float acc = 0.0f;
+            for (std::uint32_t j = jb; j < je; ++j) {
+                float v = f32FromBits(co_await core.load(m.vals.addr(j), 4));
+                float xv = f32FromBits(co_await ch.consume(core));
+                co_await core.compute(1);
+                acc += v * xv;
+            }
+            co_await core.store(y.addr(r), bitsFromF32(acc), 4);
+            jb = je;
+        }
     }
-    collectCoreStats(soc, res);
-    return res;
-}
+
+    // -----------------------------------------------------------------------
+    // DeSC supply/compute
+    // -----------------------------------------------------------------------
+
+    sim::Task<void>
+    descSupply(sim::EventQueue &eq, cpu::Core &core, DescPair &dp, Slice pair)
+    {
+        baselines::DescQueue &dq = dp.queue;
+        Chunk rs = pair.of(rows);
+        auto jb = static_cast<std::uint32_t>(
+            co_await core.load(m.row_ptr.addr(rs.begin), 4));
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto je = static_cast<std::uint32_t>(
+                co_await core.load(m.row_ptr.addr(r + 1), 4));
+            co_await dq.produceValue(core, je - jb);
+            for (std::uint32_t j = jb; j < je; ++j) {
+                auto c = static_cast<std::uint32_t>(
+                    co_await core.load(m.col_idx.addr(j), 4));
+                co_await core.compute(1);
+                // Terminal loads: the Compute core has no memory visibility,
+                // so both the value stream and the IMA go through the queue.
+                co_await dq.produceLoad(core, m.vals.addr(j), 4);
+                co_await dq.produceLoad(core, x.addr(c), 4);
+            }
+            // Service Compute-side stores that have accumulated.
+            while (co_await dq.drainOneStore(core)) {
+            }
+            jb = je;
+        }
+        while (dp.phases_done == 0 || !dq.storeQueueEmpty()) {
+            if (!co_await dq.drainOneStore(core))
+                co_await sim::delay(eq, 20);
+        }
+    }
+
+    sim::Task<void>
+    descCompute(cpu::Core &core, DescPair &dp, Slice pair)
+    {
+        Chunk rs = pair.of(rows);
+        for (std::uint64_t r = rs.begin; r < rs.end; ++r) {
+            auto n = static_cast<std::uint32_t>(co_await dp.queue.consume(core));
+            float acc = 0.0f;
+            for (std::uint32_t j = 0; j < n; ++j) {
+                float v = f32FromBits(co_await dp.queue.consume(core));
+                float xv = f32FromBits(co_await dp.queue.consume(core));
+                co_await core.compute(1);
+                acc += v * xv;
+            }
+            co_await dp.queue.produceStore(core, y.addr(r), bitsFromF32(acc));
+        }
+        dp.phases_done = 1;
+    }
+
+    /** Validate bitwise against the host golden result. */
+    void
+    check(RunResult &res) const
+    {
+        std::vector<float> out = y.download();
+        res.valid = true;
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            res.checksum += bitsFromF32(out[r]);
+            if (bitsFromF32(out[r]) != bitsFromF32(host.golden[r]))
+                res.valid = false;
+        }
+    }
+};
 
 }  // namespace
 
@@ -437,7 +298,8 @@ std::unique_ptr<Workload>
 makeSpmv(std::uint32_t rows, std::uint32_t cols, std::uint32_t nnz_per_row,
          std::uint64_t seed)
 {
-    return std::make_unique<Spmv>(rows, cols, nnz_per_row, seed);
+    return std::make_unique<TechniqueWorkload<SpmvKernels>>("spmv", rows, cols,
+                                                            nnz_per_row, seed);
 }
 
 }  // namespace maple::app
