@@ -36,7 +36,8 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
+    // stderr like warnings: binaries print their tables and JSON on stdout.
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 }  // namespace maple::sim::detail

@@ -1,6 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -259,6 +261,24 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/**
+ * Write a probe sample exactly: integral values (counts, cycles) as
+ * integers, anything else in the shortest form that reads back bit-equal.
+ * The stream's default six significant digits would turn 8473620 into
+ * 8.47362e+06.
+ */
+void
+writeValue(std::ostream &os, double v)
+{
+    if (v == std::trunc(v) && std::fabs(v) < 0x1p53) {
+        os << static_cast<long long>(v);
+        return;
+    }
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof buf, v);
+    os.write(buf, res.ptr - buf);
+}
+
 }  // namespace
 
 void
@@ -300,7 +320,9 @@ TraceManager::writeJson(std::ostream &os) const
             sep();
             os << "{\"ph\":\"C\",\"name\":\"" << jsonEscape(p.name)
                << "\",\"pid\":0,\"ts\":" << sample_times_[i]
-               << ",\"args\":{\"value\":" << p.values[i] << "}}";
+               << ",\"args\":{\"value\":";
+            writeValue(os, p.values[i]);
+            os << "}}";
         }
     }
     os << "\n],\n\"stallAttribution\":{";
@@ -322,8 +344,10 @@ TraceManager::writeCsv(std::ostream &os) const
     os << "\n";
     for (std::size_t i = 0; i < sample_times_.size(); ++i) {
         os << sample_times_[i];
-        for (const Probe &p : probes_)
-            os << "," << p.values[i];
+        for (const Probe &p : probes_) {
+            os << ",";
+            writeValue(os, p.values[i]);
+        }
         os << "\n";
     }
 }

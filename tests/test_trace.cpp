@@ -417,6 +417,9 @@ TEST(Trace, ProbesSampleOnTheConfiguredCadence)
     sim::EventQueue eq;
     trace::TraceManager t(eq, quietTracing(/*interval=*/100));
     t.addProbe("now", [&] { return double(eq.now()); });
+    // Cumulative counters pass a million; ratios need every digit.
+    t.addProbe("big", [&] { return 8473620.0 + double(eq.now()); });
+    t.addProbe("third", [] { return 1.0 / 3.0; });
 
     auto ticker = [&]() -> sim::Task<void> {
         for (int i = 0; i < 10; ++i)
@@ -443,12 +446,14 @@ TEST(Trace, ProbesSampleOnTheConfiguredCadence)
     std::istringstream in(csv.str());
     std::string line;
     std::getline(in, line);
-    EXPECT_EQ(line, "cycle,now");
+    EXPECT_EQ(line, "cycle,now,big,third");
     // Sampling piggybacks on event execution: the sample for cycle 100 is
     // taken when time advances past it (the event at 146), so the probe sees
     // the machine state that was in effect throughout the (73, 146) gap.
+    // Integers print exactly, fractions in a form that reads back bit-equal.
     std::getline(in, line);
-    EXPECT_EQ(line, "100,146");
+    ASSERT_EQ(line.rfind("100,146,8473766,", 0), 0u) << line;
+    EXPECT_EQ(std::stod(line.substr(line.rfind(',') + 1)), 1.0 / 3.0) << line;
 }
 
 TEST(Trace, SamplingNeverSchedulesEvents)
