@@ -1,9 +1,13 @@
 #include "os/maple_driver.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <cstring>
 
 #include "fault/fault.hpp"
+#include "sim/log.hpp"
 #include "trace/trace.hpp"
 
 namespace maple::os {
@@ -19,13 +23,24 @@ namespace {
  */
 constexpr sim::Cycle kSettleCycles = 512;
 
+/**
+ * A non-negative integer knob (decimal, 0x hex or 0 octal) of at most
+ * @p max; anything else keeps @p fallback with a warning.
+ */
 std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+envU64(const char *name, std::uint64_t fallback, std::uint64_t max = UINT64_MAX)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    return std::strtoull(v, nullptr, 0);
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long parsed = std::strtoull(v, &end, 0);
+    if (*end != '\0' || errno == ERANGE || std::strchr(v, '-') || parsed > max) {
+        MAPLE_WARN("ignoring bad %s '%s'", name, v);
+        return fallback;
+    }
+    return parsed;
 }
 
 }  // namespace
@@ -35,9 +50,9 @@ RecoveryConfig::mergeEnv()
 {
     enabled = envU64("MAPLE_FAULT_RECOVERY", enabled ? 1 : 0) != 0;
     retry_budget = static_cast<unsigned>(
-        envU64("MAPLE_FAULT_RECOVERY_RETRIES", retry_budget));
+        envU64("MAPLE_FAULT_RECOVERY_RETRIES", retry_budget, UINT_MAX));
     recovery_budget = static_cast<unsigned>(
-        envU64("MAPLE_FAULT_RECOVERY_BUDGET", recovery_budget));
+        envU64("MAPLE_FAULT_RECOVERY_BUDGET", recovery_budget, UINT_MAX));
     backoff_base = envU64("MAPLE_FAULT_RECOVERY_BACKOFF", backoff_base);
     op_timeout = envU64("MAPLE_FAULT_RECOVERY_TIMEOUT", op_timeout);
 }

@@ -740,3 +740,39 @@ TEST(RecoveryDriver, TwoQueuesRecoverIndependently)
     EXPECT_GT(f.api.driver()->recoveries(), 0u);
     EXPECT_EQ(f.api.driver()->degradedQueues(), 0u);
 }
+
+TEST(RecoveryConfigEnv, MalformedValuesKeepTheFallback)
+{
+    const char *knobs[] = {"MAPLE_FAULT_RECOVERY", "MAPLE_FAULT_RECOVERY_RETRIES",
+                           "MAPLE_FAULT_RECOVERY_BUDGET"};
+    os::RecoveryConfig rc;
+    rc.enabled = true;
+    rc.retry_budget = 3;
+    rc.recovery_budget = 8;
+
+    // "yes" used to parse as 0 (recovery silently off), "abc" as 0 retries,
+    // and 2^32 used to wrap the 32-bit budget to 0.
+    setenv(knobs[0], "yes", 1);
+    setenv(knobs[1], "abc", 1);
+    setenv(knobs[2], "4294967296", 1);
+    rc.mergeEnv();
+    EXPECT_TRUE(rc.enabled);
+    EXPECT_EQ(rc.retry_budget, 3u);
+    EXPECT_EQ(rc.recovery_budget, 8u);
+
+    setenv(knobs[1], "-1", 1);
+    rc.mergeEnv();
+    EXPECT_EQ(rc.retry_budget, 3u);
+
+    // Well-formed values still apply, in decimal or hex.
+    setenv(knobs[0], "0", 1);
+    setenv(knobs[1], "0x5", 1);
+    setenv(knobs[2], "12", 1);
+    rc.mergeEnv();
+    EXPECT_FALSE(rc.enabled);
+    EXPECT_EQ(rc.retry_budget, 5u);
+    EXPECT_EQ(rc.recovery_budget, 12u);
+
+    for (const char *k : knobs)
+        unsetenv(k);
+}
