@@ -37,24 +37,14 @@ mixCache(std::uint64_t &h, const mem::CacheParams &p)
 std::uint64_t
 configHash(const soc::SocConfig &cfg)
 {
-    // Resolve coherence knobs and mesh geometry exactly as Soc's
-    // constructor does, so hashing a pre-construction config matches
-    // hashing soc.config() afterwards (both resolutions are idempotent).
-    mem::CoherenceConfig coh = cfg.coherence;
-    coh.mergeEnv();
-    unsigned llc_slices = soc::llcSlicesFromEnv(cfg.llc_slices);
-    if (!coh.enabled() || llc_slices < 1)
-        llc_slices = 1;
-    unsigned tiles_needed = cfg.num_cores + cfg.num_maples + llc_slices;
-    unsigned mesh_w = cfg.mesh_width;
-    unsigned mesh_h = cfg.mesh_height;
-    if (mesh_w == 0 || mesh_h == 0) {
-        unsigned w = 1;
-        while (w * w < tiles_needed)
-            ++w;
-        mesh_w = w;
-        mesh_h = (tiles_needed + w - 1) / w;
-    }
+    // Hash the resolved shape, so hashing a pre-construction config matches
+    // hashing soc.config() afterwards.
+    soc::SocConfig resolved = cfg;
+    soc::resolveGeometry(resolved);
+    const mem::CoherenceConfig &coh = resolved.coherence;
+    const unsigned llc_slices = resolved.llc_slices;
+    const unsigned mesh_w = resolved.mesh_width;
+    const unsigned mesh_h = resolved.mesh_height;
 
     std::uint64_t h = kFnvOffset;
     mix(h, cfg.num_cores);

@@ -113,11 +113,8 @@ SocConfig::simulated(unsigned cores)
     cfg.num_cores = cores;
     cfg.dram_bytes = 1ull << 32;  // 4GB
     cfg.dram = mem::DramParams{300, 1, 2};  // ~68GB/s aggregate
-    // Auto mesh: cores + maples + mem tile.
-    unsigned tiles = cores + cfg.num_maples + 1;
-    cfg.mesh_width = 0;
+    cfg.mesh_width = 0;  // auto mesh: see resolveGeometry
     cfg.mesh_height = 0;
-    (void)tiles;
     return cfg;
 }
 
@@ -137,27 +134,33 @@ llcSlicesFromEnv(unsigned fallback)
     return static_cast<unsigned>(v);
 }
 
-Soc::Soc(SocConfig cfg) : cfg_(std::move(cfg))
+void
+resolveGeometry(SocConfig &cfg)
 {
     // Coherence knobs resolve before mesh sizing: the slice count changes
     // how many tiles the memory system occupies. Without a protocol the
     // slice knob is forced to 1 so the historical single-home layout (and
     // every downstream byte) is untouched.
-    cfg_.coherence.mergeEnv();
-    cfg_.llc_slices = llcSlicesFromEnv(cfg_.llc_slices);
-    if (!cfg_.coherence.enabled() || cfg_.llc_slices < 1)
-        cfg_.llc_slices = 1;
+    cfg.coherence.mergeEnv();
+    cfg.llc_slices = llcSlicesFromEnv(cfg.llc_slices);
+    if (!cfg.coherence.enabled() || cfg.llc_slices < 1)
+        cfg.llc_slices = 1;
 
-    // Resolve mesh geometry: enough tiles for cores + MAPLEs + LLC slices.
-    unsigned tiles_needed =
-        cfg_.num_cores + cfg_.num_maples + cfg_.llc_slices;
-    if (cfg_.mesh_width == 0 || cfg_.mesh_height == 0) {
+    if (cfg.mesh_width == 0 || cfg.mesh_height == 0) {
+        unsigned tiles_needed = cfg.num_cores + cfg.num_maples + cfg.llc_slices;
         unsigned w = 1;
         while (w * w < tiles_needed)
             ++w;
-        cfg_.mesh_width = w;
-        cfg_.mesh_height = (tiles_needed + w - 1) / w;
+        cfg.mesh_width = w;
+        cfg.mesh_height = (tiles_needed + w - 1) / w;
     }
+}
+
+Soc::Soc(SocConfig cfg) : cfg_(std::move(cfg))
+{
+    resolveGeometry(cfg_);
+    unsigned tiles_needed =
+        cfg_.num_cores + cfg_.num_maples + cfg_.llc_slices;
     MAPLE_CHECK(cfg_.mesh_width * cfg_.mesh_height >= tiles_needed,
                 sim::ConfigError, "mesh too small: %ux%u for %u tiles",
                 cfg_.mesh_width, cfg_.mesh_height, tiles_needed);

@@ -113,9 +113,18 @@ struct SocConfig {
 /** @p fallback overlaid with MAPLE_THREADS when set and parseable (>= 1). */
 unsigned hostThreadsFromEnv(unsigned fallback);
 
-/** @p fallback overlaid with MAPLE_LLC_SLICES when set and parseable.
- *  Exposed so ckpt::configHash can resolve slices the way Soc's ctor does. */
+/** @p fallback overlaid with MAPLE_LLC_SLICES when set and parseable. */
 unsigned llcSlicesFromEnv(unsigned fallback);
+
+/**
+ * Resolve the knobs that decide the chip's shape: the coherence environment
+ * knobs, the LLC slice count (forced to 1 without a protocol) and, for a 0x0
+ * mesh, the smallest near-square mesh with a tile for every core, MAPLE and
+ * LLC slice. Soc's constructor and ckpt::configHash both call it, so hashing
+ * a config before construction matches hashing soc.config() after;
+ * resolving twice changes nothing.
+ */
+void resolveGeometry(SocConfig &cfg);
 
 class Soc {
   public:
