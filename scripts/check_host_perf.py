@@ -5,6 +5,7 @@ Usage:
     check_host_perf.py <baseline.json> <current.json>... [max_regression]
                        [--limit name=ratio ...]
                        [--min-scaling name=factor ...]
+                       [--max-allocs name=allocs_per_event ...]
                        [--history bench/BENCH_host_perf.history.json]
                        [--markdown trajectory.md]
 
@@ -33,6 +34,14 @@ valid. The trajectory table gets a trailing "scaling" column showing each
 sharded benchmark's best multi-thread speedup over its own 1-thread run,
 and --min-scaling gates that speedup (e.g. --min-scaling grid_spmv=2.5
 fails unless some grid_spmv@Nt entry reaches 2.5x the 1-thread rate).
+
+--max-allocs gates a benchmark's allocs_per_event (global operator new
+calls per kernel event, counted by bench_host_perf): e.g. --max-allocs
+maple_spmv=0.214 fails if any run allocates more per event. Single-thread
+tiers repeat their allocation count exactly, so unlike the throughput
+limits this gate does not depend on host speed. A run whose build bypassed
+the coroutine frame pool ("frame_pool": false, an AddressSanitizer build)
+allocates a frame per call by design; the gate is skipped for it.
 """
 import datetime
 import json
@@ -64,6 +73,17 @@ def load(path):
                 for b in json.load(f)["benchmarks"]}
 
 
+def load_allocs(path):
+    """{key: allocs_per_event}, or None if the build bypassed the frame
+    pool. Benchmarks without an allocation count are left out."""
+    with open(path) as f:
+        report = json.load(f)
+    if not report.get("frame_pool", True):
+        return None
+    return {entry_key(b): b["allocs_per_event"]
+            for b in report["benchmarks"] if "allocs_per_event" in b}
+
+
 def scaling_of(current):
     """{name: (speedup, threads)} for each benchmark with both a 1-thread
     entry and at least one multi-thread entry: the best multi-thread rate
@@ -81,7 +101,8 @@ def scaling_of(current):
 
 def parse_args(argv):
     positional, limits, opts = [], {}, {
-        "history": None, "markdown": None, "min_scaling": {}}
+        "history": None, "markdown": None, "min_scaling": {},
+        "max_allocs": {}}
     it = iter(argv)
     for arg in it:
         if arg == "--limit" or arg.startswith("--limit="):
@@ -97,6 +118,13 @@ def parse_args(argv):
                          "(e.g. grid_spmv=2.5)")
             name, factor = spec.split("=", 1)
             opts["min_scaling"][name] = float(factor)
+        elif arg == "--max-allocs" or arg.startswith("--max-allocs="):
+            spec = arg.split("=", 1)[1] if "=" in arg else next(it, None)
+            if not spec or "=" not in spec:
+                sys.exit("--max-allocs expects name=allocs_per_event "
+                         "(e.g. maple_spmv=0.214)")
+            name, bound = spec.split("=", 1)
+            opts["max_allocs"][name] = float(bound)
         elif arg == "--history" or arg.startswith("--history="):
             opts["history"] = (arg.split("=", 1)[1] if "=" in arg
                                else next(it, None))
@@ -169,6 +197,32 @@ def write_trajectory(path, entries):
     print(f"wrote {path}")
 
 
+def check_allocs(paths, bounds):
+    """Gate allocs_per_event; each benchmark scores its worst run."""
+    worst = {}
+    for path in paths:
+        allocs = load_allocs(path)
+        if allocs is None:
+            print(f"skip --max-allocs: {path} was built without the "
+                  "frame pool")
+            return []
+        for name, ape in allocs.items():
+            worst[name] = max(worst.get(name, 0.0), ape)
+    failures = []
+    for name, bound in sorted(bounds.items()):
+        ape = worst.get(name)
+        if ape is None:
+            failures.append(f"{name}: no allocs_per_event in current run")
+            continue
+        status = "FAIL" if ape > bound else "ok"
+        print(f"{status:4} {name:24} {ape:.4f} allocs/event "
+              f"(max {bound:.4f})")
+        if ape > bound:
+            failures.append(f"{name}: {ape:.4f} allocs/event, above the "
+                            f"{bound:.4f} bound")
+    return failures
+
+
 def main():
     positional, limits, opts = parse_args(sys.argv[1:])
     if len(positional) < 2:
@@ -227,6 +281,8 @@ def main():
             failures.append(
                 f"{name}: x{speedup:.2f} scaling at {threads} threads, "
                 f"below the x{factor:.2f} floor")
+    if opts["max_allocs"]:
+        failures += check_allocs(current_paths, opts["max_allocs"])
     if failures:
         sys.exit("host-perf regression:\n" + "\n".join(failures))
     print("host-perf smoke ok")

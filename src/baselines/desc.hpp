@@ -84,8 +84,7 @@ class DescQueue {
         unsigned slot = comm_.reserveSlot();
 
         while (inflight_ >= params_.supply_buffer) {
-            sim::Signal wait = buffer_wait_;
-            co_await wait;
+            co_await buffer_wait_;
         }
         ++inflight_;
 
@@ -156,8 +155,7 @@ class DescQueue {
     waitSpace(maple::core::MapleQueue &q, unsigned need = 1)
     {
         while (q.capacity() - q.occupancy() < need) {
-            sim::Signal wait = q.spaceSignal();
-            co_await wait;
+            co_await q.spaceWaiters();
         }
     }
 
@@ -165,8 +163,7 @@ class DescQueue {
     waitData(maple::core::MapleQueue &q)
     {
         while (!q.headValid()) {
-            sim::Signal wait = q.dataSignal();
-            co_await wait;
+            co_await q.dataWaiters();
         }
     }
 
@@ -182,8 +179,7 @@ class DescQueue {
         pm_.read(paddr, &v, size);
         comm_.fillSlot(slot, v);
         --inflight_;
-        sim::Signal wake = std::exchange(buffer_wait_, sim::Signal{});
-        wake.set(sim::Unit{});
+        buffer_wait_.notifyAll();
     }
 
     sim::EventQueue &eq_;
@@ -193,7 +189,7 @@ class DescQueue {
     maple::core::MapleQueue comm_;     ///< Supply -> Compute data queue
     maple::core::MapleQueue store_q_;  ///< Compute -> Supply store queue
     unsigned inflight_ = 0;
-    sim::Signal buffer_wait_;
+    sim::WaitList buffer_wait_;
 };
 
 }  // namespace maple::baselines

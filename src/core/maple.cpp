@@ -87,8 +87,7 @@ Maple::acquirePipeHead()
 {
     fault::ParkGuard park(eq_, "pipe_head", params_.name);
     while (pipe_head_held_) {
-        sim::Signal wait = pipe_head_wait_;
-        co_await wait;
+        co_await pipe_head_wait_;
     }
     pipe_head_held_ = true;
 }
@@ -97,8 +96,7 @@ void
 Maple::releasePipeHead()
 {
     pipe_head_held_ = false;
-    sim::Signal wake = std::exchange(pipe_head_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
+    pipe_head_wait_.notifyAll();
 }
 
 void
@@ -306,8 +304,7 @@ Maple::admitProduce(unsigned q)
     {
         fault::ParkGuard park(eq_, "produce_buffer", params_.name, q);
         while (produce_inflight_ >= params_.produce_buffer) {
-            sim::Signal wait = produce_buffer_wait_;
-            co_await wait;
+            co_await produce_buffer_wait_;
         }
     }
     if (eq_.now() != buf_wait_start) {
@@ -325,8 +322,7 @@ Maple::releaseProduce(unsigned q)
 {
     --produce_inflight_;
     --produce_inflight_q_[q];
-    sim::Signal wake = std::exchange(produce_buffer_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
+    produce_buffer_wait_.notifyAll();
 }
 
 sim::Task<void>
@@ -415,9 +411,8 @@ Maple::reserveSlotInOrder(unsigned q)
             // the in-flight count up and deadlock the recovery drain.
             const sim::Cycle timeout = queue_timeout_[q];
             if (timeout == 0) {
-                sim::Signal wait = queue.spaceSignal();
                 ++reserve_parked_[q];
-                co_await wait;
+                co_await queue.spaceWaiters();
                 --reserve_parked_[q];
             } else {
                 // Timed wait: the hardware timeout counter ticks every
@@ -559,8 +554,7 @@ Maple::produceAmoAdd(unsigned q, sim::Addr vaddr)
     {
         fault::ParkGuard park(eq_, "amo_commit", params_.name, q);
         while (amo_seq_commit_[q] != ticket) {
-            sim::Signal wait = amo_commit_wait_;
-            co_await wait;
+            co_await amo_commit_wait_;
         }
     }
     if (tr.fault) {
@@ -578,8 +572,7 @@ Maple::produceAmoAdd(unsigned q, sim::Addr vaddr)
                                             bytes));
     }
     ++amo_seq_commit_[q];
-    sim::Signal commit_wake = std::exchange(amo_commit_wait_, sim::Signal{});
-    commit_wake.set(sim::Unit{});
+    amo_commit_wait_.notifyAll();
     releaseProduce(q);
 }
 
@@ -646,8 +639,7 @@ Maple::consume(unsigned q, bool pair)
             // a QueueTimeout store must take effect on parked consumes too.
             const sim::Cycle timeout = queue_timeout_[q];
             if (timeout == 0) {
-                sim::Signal wait = queue.dataSignal();
-                co_await wait;
+                co_await queue.dataWaiters();
             } else {
                 if (eq_.now() >= wait_start + timeout) {
                     timed_out = true;
@@ -819,8 +811,7 @@ Maple::configStore(unsigned q, StoreOp op, std::uint64_t data)
         {
             fault::ParkGuard park(eq_, "lima_space", params_.name);
             while (lima_cmds_.size() >= params_.lima_cmds) {
-                sim::Signal wait = lima_space_wait_;
-                co_await wait;
+                co_await lima_space_wait_;
             }
         }
         LimaCmd cmd;
@@ -897,8 +888,7 @@ Maple::limaWorker()
     while (!lima_cmds_.empty()) {
         LimaCmd cmd = lima_cmds_.front();
         lima_cmds_.pop_front();
-        sim::Signal wake = std::exchange(lima_space_wait_, sim::Signal{});
-        wake.set(sim::Unit{});
+        lima_space_wait_.notifyAll();
         bumpCounter(Counter::LimaCommands);
         co_await limaOne(cmd);
     }

@@ -299,7 +299,7 @@ class Maple : public soc::MmioDevice {
     // waiting on traffic to queues it did not quiesce.
     unsigned produce_inflight_ = 0;
     std::vector<unsigned> produce_inflight_q_;
-    sim::Signal produce_buffer_wait_;
+    sim::WaitList produce_buffer_wait_;
 
     // In-order slot reservation, per queue: the next ticket to hand out, the
     // ticket whose turn it is, and how many produces are parked on the
@@ -311,7 +311,7 @@ class Maple : public soc::MmioDevice {
 
     // Shared-pipeline ablation state.
     bool pipe_head_held_ = false;
-    sim::Signal pipe_head_wait_;
+    sim::WaitList pipe_head_wait_;
 
     // AMO extension state: one addend register per queue, plus a commit
     // sequencer so RMWs linearize in program order even when translations
@@ -319,14 +319,14 @@ class Maple : public soc::MmioDevice {
     std::vector<std::uint64_t> amo_addend_;
     std::vector<std::uint64_t> amo_seq_alloc_;
     std::vector<std::uint64_t> amo_seq_commit_;
-    sim::Signal amo_commit_wait_;
+    sim::WaitList amo_commit_wait_;
 
     // LIMA state.
     sim::Addr lima_a_base_ = 0;
     sim::Addr lima_b_base_ = 0;
     std::uint64_t lima_range_ = 0;
     std::deque<LimaCmd> lima_cmds_;
-    sim::Signal lima_space_wait_;
+    sim::WaitList lima_space_wait_;
     bool lima_running_ = false;
 
     sim::Addr last_fault_vaddr_ = 0;

@@ -187,11 +187,11 @@ class MapleQueue {
     }
 
     /// @name Wait points used by the produce/consume pipelines
-    /// Waiters loop: grab the current signal, await it, re-check their
-    /// condition. Signals resume waiters FIFO, preserving program order.
+    /// Waiters loop: await the list, re-check their condition. Wait lists
+    /// resume waiters FIFO, preserving program order.
     /// @{
-    sim::Signal spaceSignal() const { return space_; }
-    sim::Signal dataSignal() const { return data_sig_; }
+    sim::WaitList &spaceWaiters() { return space_; }
+    sim::WaitList &dataWaiters() { return data_sig_; }
 
     /**
      * Spuriously wake every parked waiter so it re-evaluates its predicate.
@@ -211,7 +211,7 @@ class MapleQueue {
     /// @}
 
     /**
-     * Snapshot support. The wait Signals are not serialized: at a quiesced
+     * Snapshot support. The wait lists are not serialized: at a quiesced
      * point no producer/consumer coroutine is parked on them.
      */
     void
@@ -256,19 +256,8 @@ class MapleQueue {
     }
 
   private:
-    void
-    wakeSpace()
-    {
-        sim::Signal s = std::exchange(space_, sim::Signal{});
-        s.set(sim::Unit{});
-    }
-
-    void
-    wakeData()
-    {
-        sim::Signal s = std::exchange(data_sig_, sim::Signal{});
-        s.set(sim::Unit{});
-    }
+    void wakeSpace() { space_.notifyAll(); }
+    void wakeData() { data_sig_.notifyAll(); }
 
     bool configured_ = false;
     bool open_ = false;
@@ -281,8 +270,8 @@ class MapleQueue {
     unsigned tail_ = 0;
     unsigned reserved_ = 0;
     unsigned peak_occupancy_ = 0;
-    sim::Signal space_;
-    sim::Signal data_sig_;
+    sim::WaitList space_;
+    sim::WaitList data_sig_;
 };
 
 }  // namespace maple::core

@@ -25,17 +25,11 @@ Core::tracer()
     return t;
 }
 
-sim::Task<void>
+sim::DelayAwaiter
 Core::issue(std::uint64_t insts)
 {
     stats_.counter("instructions").inc(insts);
-    co_await sim::delay(eq_, params_.issue_cycles * insts);
-}
-
-sim::Task<void>
-Core::compute(std::uint64_t insts)
-{
-    co_await issue(insts);
+    return sim::delay(eq_, params_.issue_cycles * insts);
 }
 
 sim::Task<std::uint64_t>
@@ -99,8 +93,7 @@ Core::store(sim::Addr vaddr, std::uint64_t value, unsigned size)
         fault::ParkGuard park(eq_, "store_buffer", params_.name);
         while (store_buffer_used_ >= params_.store_buffer) {
             stats_.counter("store_buffer_stalls").inc();
-            sim::Signal wait = store_buffer_wait_;
-            co_await wait;
+            co_await store_buffer_wait_;
         }
     }
     ++store_buffer_used_;
@@ -120,8 +113,7 @@ Core::drainStore(sim::Addr paddr, std::uint64_t value, unsigned size)
         w_.pm->write(paddr, &value, size);
     }
     --store_buffer_used_;
-    sim::Signal wake = std::exchange(store_buffer_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
+    store_buffer_wait_.notifyAll();
 }
 
 sim::Task<void>
@@ -129,8 +121,7 @@ Core::storeFence()
 {
     fault::ParkGuard park(eq_, "store_fence", params_.name);
     while (store_buffer_used_ > 0) {
-        sim::Signal wait = store_buffer_wait_;
-        co_await wait;
+        co_await store_buffer_wait_;
     }
 }
 
@@ -219,8 +210,7 @@ Core::storeShared(sim::Addr vaddr, std::uint64_t value, unsigned size)
         fault::ParkGuard park(eq_, "store_buffer", params_.name);
         while (store_buffer_used_ >= params_.store_buffer) {
             stats_.counter("store_buffer_stalls").inc();
-            sim::Signal wait = store_buffer_wait_;
-            co_await wait;
+            co_await store_buffer_wait_;
         }
     }
     ++store_buffer_used_;
@@ -233,8 +223,7 @@ Core::storeShared(sim::Addr vaddr, std::uint64_t value, unsigned size)
             sz, mem::AccessKind::Write));
         self->w_.pm->write(paddr, &v, sz);
         --self->store_buffer_used_;
-        sim::Signal wake = std::exchange(self->store_buffer_wait_, sim::Signal{});
-        wake.set(sim::Unit{});
+        self->store_buffer_wait_.notifyAll();
     };
     sim::spawnDetached(eq_, drain(this, tr.paddr, value, size));
 }

@@ -79,8 +79,9 @@ class Core {
     /** Wait until the store buffer has fully drained (fence semantics). */
     sim::Task<void> storeFence();
 
-    /** Execute @p insts ALU instructions (charges issue cycles). */
-    sim::Task<void> compute(std::uint64_t insts = 1);
+    /** Execute @p insts ALU instructions (charges issue cycles). A plain
+     *  awaiter, not a coroutine: issuing builds no frame. */
+    sim::DelayAwaiter compute(std::uint64_t insts = 1) { return issue(insts); }
 
     /** Software prefetch instruction: translate and fill L1, non-blocking. */
     sim::Task<void> prefetchL1(sim::Addr vaddr);
@@ -159,7 +160,7 @@ class Core {
     sim::Task<void> mmioStore(const soc::AddressMap::Window &w, sim::Addr paddr,
                               std::uint64_t value, unsigned size);
     sim::Task<void> drainStore(sim::Addr paddr, std::uint64_t value, unsigned size);
-    sim::Task<void> issue(std::uint64_t insts = 1);
+    sim::DelayAwaiter issue(std::uint64_t insts = 1);
 
     /**
      * Active tracer or nullptr; lazily creates the core's fixed track. The
@@ -176,7 +177,7 @@ class Core {
     sim::StatGroup stats_;
     sim::Average load_latency_;
     unsigned store_buffer_used_ = 0;
-    sim::Signal store_buffer_wait_;
+    sim::WaitList store_buffer_wait_;
     trace::TraceManager::TrackId tr_track_ = trace::TraceManager::kNone;
 };
 

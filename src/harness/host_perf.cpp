@@ -12,13 +12,17 @@ namespace maple::harness {
 void
 HostPerfReport::print() const
 {
-    std::printf("\n%-24s %8s %14s %14s %10s %12s\n", "benchmark", "threads",
-                "events", "sim cycles", "host s", "Mev/s");
+    std::printf("\n%-24s %8s %14s %14s %10s %12s %10s\n", "benchmark",
+                "threads", "events", "sim cycles", "host s", "Mev/s",
+                "allocs/ev");
     for (const PerfSample &s : samples_) {
-        std::printf("%-24s %8u %14llu %14llu %10.3f %12.2f\n", s.name.c_str(),
-                    s.threads, (unsigned long long)s.events,
+        char allocs[32] = "-";
+        if (s.allocs)
+            std::snprintf(allocs, sizeof allocs, "%.3f", s.allocsPerEvent());
+        std::printf("%-24s %8u %14llu %14llu %10.3f %12.2f %10s\n",
+                    s.name.c_str(), s.threads, (unsigned long long)s.events,
                     (unsigned long long)s.sim_cycles, s.host_seconds,
-                    s.eventsPerSec() / 1e6);
+                    s.eventsPerSec() / 1e6, allocs);
     }
 }
 

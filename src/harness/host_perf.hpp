@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,12 +23,23 @@ struct PerfSample {
     std::uint64_t sim_cycles = 0;  ///< simulated cycles covered
     double host_seconds = 0.0;     ///< host wall time
     unsigned threads = 1;          ///< host worker threads driving the run
+    /** Global operator new calls during the tier, when the binary counts
+     *  them (bench_host_perf links a counting operator new). */
+    std::optional<std::uint64_t> allocs = std::nullopt;
 
     double
     eventsPerSec() const
     {
         return host_seconds > 0.0 ? static_cast<double>(events) / host_seconds
                                   : 0.0;
+    }
+
+    double
+    allocsPerEvent() const
+    {
+        return allocs && events > 0
+                   ? static_cast<double>(*allocs) / static_cast<double>(events)
+                   : 0.0;
     }
 
     double
@@ -69,6 +81,9 @@ class HostPerfReport {
      * Machine-readable report:
      *   { "bench": ..., "quick": ..., "benchmarks": [ {name, events,
      *     sim_cycles, host_seconds, events_per_sec}, ... ] }
+     * Samples that counted allocations add "allocs" and "allocs_per_event",
+     * and the report then records "frame_pool": whether coroutine frames
+     * were pooled in this build (sim/frame_pool.hpp).
      */
     void writeJson(const std::string &path, const std::string &bench_name,
                    bool quick) const;

@@ -2,6 +2,7 @@
 
 #include "harness/figures.hpp"
 #include "harness/host_perf.hpp"
+#include "sim/frame_pool.hpp"
 
 namespace maple::harness {
 
@@ -86,6 +87,7 @@ hostPerfToJson(const std::vector<PerfSample> &samples,
                const std::string &bench_name, bool quick)
 {
     json::Array benchmarks;
+    bool counted_allocs = false;
     for (const PerfSample &s : samples) {
         json::Object b;
         b.emplace_back("name", json::Value(s.name));
@@ -94,11 +96,18 @@ hostPerfToJson(const std::vector<PerfSample> &samples,
         b.emplace_back("sim_cycles", json::Value(s.sim_cycles));
         b.emplace_back("host_seconds", json::Value(s.host_seconds));
         b.emplace_back("events_per_sec", json::Value(s.eventsPerSec()));
+        if (s.allocs) {
+            counted_allocs = true;
+            b.emplace_back("allocs", json::Value(*s.allocs));
+            b.emplace_back("allocs_per_event", json::Value(s.allocsPerEvent()));
+        }
         benchmarks.push_back(json::Value(std::move(b)));
     }
     json::Object o;
     o.emplace_back("bench", json::Value(bench_name));
     o.emplace_back("quick", json::Value(quick));
+    if (counted_allocs)
+        o.emplace_back("frame_pool", json::Value(sim::FramePool::kEnabled));
     o.emplace_back("benchmarks", json::Value(std::move(benchmarks)));
     return json::Value(std::move(o));
 }

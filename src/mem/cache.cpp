@@ -388,10 +388,9 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
                 co_return;
             }
             stats_.counter("mshr_stalls").inc();
-            sim::Signal wait = mshr_wait_;
             {
                 fault::ParkGuard park(eq_, "mshr_full", params_.name);
-                co_await wait;
+                co_await mshr_wait_;
             }
             continue;
         }
@@ -534,10 +533,9 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
             co_return;
         }
         stats_.counter("mshr_stalls").inc();
-        sim::Signal wait = mshr_wait_;
         {
             fault::ParkGuard park(eq_, "mshr_full", params_.name);
-            co_await wait;
+            co_await mshr_wait_;
         }
         // Re-check everything after waking: the line may have been installed
         // or an MSHR for it allocated while we slept.
@@ -594,8 +592,7 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
 void
 Cache::wakeMshrWaiters()
 {
-    sim::Signal s = std::exchange(mshr_wait_, sim::Signal{});
-    s.set(sim::Unit{});
+    mshr_wait_.notifyAll();
 }
 
 }  // namespace maple::mem

@@ -263,7 +263,7 @@ class Cache : public Port, public CoherentCache {
     std::vector<std::vector<Way>> sets_;
     std::uint64_t lru_clock_ = 1;
     std::unordered_map<sim::Addr, sim::Signal> mshrs_;
-    sim::Signal mshr_wait_;
+    sim::WaitList mshr_wait_;
     sim::StatGroup stats_;
     trace::TraceManager::LaneGroupId tr_miss_ = trace::TraceManager::kNone;
 

@@ -62,31 +62,57 @@ class Mmu {
     /**
      * Translate @p vaddr, charging TLB/walk/fault latency as appropriate.
      * Returns fault=true only if the fault handler failed (or none is set).
+     *
+     * A TLB hit takes zero cycles, so it builds no coroutine frame: the
+     * awaiter's await_ready() does the lookup and completes without
+     * suspending. Anything else (a miss, or a hit lacking the needed
+     * permission, which is invalidated for a rewalk) starts translateSlow(),
+     * which skips the lookup already done here, so TLB hit/miss counters and
+     * LRU order are the same as with one lookup per attempt.
      */
-    sim::Task<Translation>
-    translate(sim::Addr vaddr, bool write)
-    {
-        for (int attempt = 0; attempt < 2; ++attempt) {
-            if (auto pte = tlb_.lookup(vaddr)) {
-                if (pte->readable() && (!write || pte->writable()))
-                    co_return Translation{false, pte->paddrBase() | pageOffset(vaddr)};
-                tlb_.invalidate(vaddr);  // stale permissions: rewalk
-            }
-            auto walked = co_await walk(vaddr);
-            if (walked && walked->readable() && (!write || walked->writable())) {
-                tlb_.insert(vaddr, *walked);
-                co_return Translation{
-                    false, walked->paddrBase() | pageOffset(vaddr)};
-            }
-            faults_.inc();
-            if (attempt == 1 || !fault_handler_)
-                break;
-            bool resolved = co_await fault_handler_(vaddr, write);
-            if (!resolved)
-                break;
+    class TranslateAwaiter {
+      public:
+        TranslateAwaiter(Mmu &mmu, sim::Addr vaddr, bool write)
+            : mmu_(mmu), vaddr_(vaddr), write_(write)
+        {
         }
-        co_return Translation{true, sim::kBadAddr};
-    }
+
+        bool
+        await_ready()
+        {
+            if (auto pte = mmu_.tlb_.lookup(vaddr_)) {
+                if (permits(*pte, write_)) {
+                    result_ = Translation{false, pte->paddrBase() | pageOffset(vaddr_)};
+                    return true;
+                }
+                mmu_.tlb_.invalidate(vaddr_);  // stale permissions: rewalk
+            }
+            slow_ = mmu_.translateSlow(vaddr_, write_);
+            return false;
+        }
+
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<> cont)
+        {
+            return std::move(slow_).operator co_await().await_suspend(cont);
+        }
+
+        Translation
+        await_resume()
+        {
+            return slow_.valid() ? std::move(slow_).operator co_await().await_resume()
+                                 : result_;
+        }
+
+      private:
+        Mmu &mmu_;
+        sim::Addr vaddr_;
+        bool write_;
+        Translation result_;
+        sim::Task<Translation> slow_;
+    };
+
+    TranslateAwaiter translate(sim::Addr vaddr, bool write) { return {*this, vaddr, write}; }
 
     /** TLB shootdown for one page (called by the OS on unmap/remap). */
     void invalidate(sim::Addr vaddr) { tlb_.invalidate(vaddr); }
@@ -122,6 +148,41 @@ class Mmu {
     }
 
   private:
+    static bool
+    permits(const Pte &pte, bool write)
+    {
+        return pte.readable() && (!write || pte.writable());
+    }
+
+    /** translate() past a first TLB lookup that missed (or was invalidated
+     *  for lacking permission): walk, fault, and retry once. */
+    sim::Task<Translation>
+    translateSlow(sim::Addr vaddr, bool write)
+    {
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            if (attempt > 0) {
+                if (auto pte = tlb_.lookup(vaddr)) {
+                    if (permits(*pte, write))
+                        co_return Translation{false, pte->paddrBase() | pageOffset(vaddr)};
+                    tlb_.invalidate(vaddr);
+                }
+            }
+            auto walked = co_await walk(vaddr);
+            if (walked && permits(*walked, write)) {
+                tlb_.insert(vaddr, *walked);
+                co_return Translation{
+                    false, walked->paddrBase() | pageOffset(vaddr)};
+            }
+            faults_.inc();
+            if (attempt == 1 || !fault_handler_)
+                break;
+            bool resolved = co_await fault_handler_(vaddr, write);
+            if (!resolved)
+                break;
+        }
+        co_return Translation{true, sim::kBadAddr};
+    }
+
     /** Timed three-level walk; nullopt when any level is invalid. */
     sim::Task<std::optional<Pte>>
     walk(sim::Addr vaddr)

@@ -349,8 +349,7 @@ MapleDriver::recover(cpu::Core &core, unsigned q)
                     trace::Category::Os);
 
     qs.recovering = false;
-    sim::Signal done = std::exchange(qs.recovery_wait, sim::Signal{});
-    done.set(sim::Unit{});
+    qs.recovery_wait.notifyAll();
 }
 
 sim::Task<void>
@@ -397,8 +396,7 @@ MapleDriver::waitRecoveryDone(QueueState &qs)
         co_return;
     fault::ParkGuard park(eq_, "recovery_wait", device_.params().name);
     while (qs.recovering) {
-        sim::Signal w = qs.recovery_wait;
-        co_await w;
+        co_await qs.recovery_wait;
     }
 }
 

@@ -118,7 +118,7 @@ class MapleDriver {
         unsigned epoch = 0;            ///< bumped by every completed recovery
         unsigned recovery_count = 0;
         std::uint64_t accept_base = 0; ///< AcceptCount after reset + replay
-        sim::Signal recovery_wait;     ///< woken when a recovery completes
+        sim::WaitList recovery_wait;   ///< woken when a recovery completes
     };
 
     sim::Task<bool> produceOp(cpu::Core &core, unsigned q,

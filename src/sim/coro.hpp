@@ -9,8 +9,13 @@
  *
  *  - Task<T>:   lazily-started coroutine, awaitable, symmetric transfer.
  *  - Future<T>: externally-fulfilled completion (one waiter).
+ *  - WaitList:  reusable condition wake list (notifyAll, FIFO).
  *  - delay():   awaitable that costs simulated cycles.
  *  - spawn():   runs a Task<> to completion as a root, returns a Join.
+ *
+ * Frames come from the thread-local FramePool (sim/frame_pool.hpp). A path
+ * that takes zero simulated cycles should build no frame at all: return an
+ * awaiter whose await_ready() does the work (Mmu::translate, Core::compute).
  */
 #pragma once
 
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/log.hpp"
 #include "sim/types.hpp"
 
@@ -32,7 +38,7 @@ class Task;
 
 namespace detail {
 
-struct PromiseBase {
+struct PromiseBase : PooledFrame {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
 
@@ -206,7 +212,7 @@ namespace detail {
 
 /** Self-destroying wrapper coroutine used by spawn(). */
 struct Detached {
-    struct promise_type {
+    struct promise_type : PooledFrame {
         Detached get_return_object() const noexcept { return {}; }
         std::suspend_never initial_suspend() const noexcept { return {}; }
         std::suspend_never final_suspend() const noexcept { return {}; }
@@ -263,29 +269,31 @@ spawnDetached(EventQueue &eq, Task<void> task)
     detail::spawnDetachedImpl(eq, std::move(task));
 }
 
+/** Awaiter returned by delay(). */
+struct DelayAwaiter {
+    EventQueue &eq;
+    Cycle cycles;
+
+    bool await_ready() const noexcept { return cycles == 0; }
+
+    void
+    await_suspend(std::coroutine_handle<> h) const
+    {
+        eq.scheduleResumeIn(cycles, h);
+    }
+
+    void await_resume() const noexcept {}
+};
+
 /**
  * Awaitable that suspends the coroutine for @p cycles simulated cycles.
  * Rides the EventQueue's pooled coroutine-resume path: suspending allocates
  * nothing, so delay() is free to sit on every hop of every hot loop.
  */
-inline auto
+inline DelayAwaiter
 delay(EventQueue &eq, Cycle cycles)
 {
-    struct Awaiter {
-        EventQueue &eq;
-        Cycle cycles;
-
-        bool await_ready() const noexcept { return cycles == 0; }
-
-        void
-        await_suspend(std::coroutine_handle<> h) const
-        {
-            eq.scheduleResumeIn(cycles, h);
-        }
-
-        void await_resume() const noexcept {}
-    };
-    return Awaiter{eq, cycles};
+    return DelayAwaiter{eq, cycles};
 }
 
 /**
@@ -339,6 +347,60 @@ class Future {
     };
 
     std::shared_ptr<State> state_;
+};
+
+/**
+ * Reusable wake list for a condition that changes many times: a buffer slot
+ * freeing, a lock releasing. Waiters loop on `while (!cond) co_await list;`
+ * and the owner calls notifyAll() whenever the condition may have changed.
+ *
+ * notifyAll() moves the current waiters out and resumes them inline in FIFO
+ * order, exactly as Future::set does, so a waiter that re-parks during the
+ * notify joins the fresh list and wakes on the *next* notify. A notify with
+ * no waiters does nothing, and the two waiter buffers are reused, so the
+ * steady state allocates nothing (a one-shot Signal would need a fresh
+ * shared state per notify). The list must outlive notifyAll(): unlike a
+ * Signal copy, nothing keeps it alive while the waiters run.
+ */
+class WaitList {
+  public:
+    struct Awaiter {
+        WaitList &list;
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            list.waiters_.push_back(h);
+        }
+
+        void await_resume() const noexcept {}
+    };
+
+    Awaiter operator co_await() noexcept { return Awaiter{*this}; }
+
+    /** Resume every current waiter (FIFO); re-waiters wait for the next. */
+    void
+    notifyAll()
+    {
+        if (waiters_.empty())
+            return;
+        std::vector<std::coroutine_handle<>> batch;
+        batch.swap(waiters_);
+        waiters_.swap(spare_);
+        for (std::coroutine_handle<> h : batch)
+            h.resume();
+        batch.clear();
+        spare_.swap(batch);
+    }
+
+    bool empty() const { return waiters_.empty(); }
+    size_t size() const { return waiters_.size(); }
+
+  private:
+    std::vector<std::coroutine_handle<>> waiters_;
+    std::vector<std::coroutine_handle<>> spare_;  ///< reused batch buffer
 };
 
 /** Future<> carrying no payload; used as a pure completion signal. */

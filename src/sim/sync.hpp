@@ -25,12 +25,10 @@ class Barrier {
     {
         if (++arrived_ == parties_) {
             arrived_ = 0;
-            Signal gen = std::exchange(generation_, Signal{});
-            gen.set(Unit{});
+            generation_.notifyAll();
             co_return;
         }
-        Signal gen = generation_;
-        co_await gen;
+        co_await generation_;
     }
 
     unsigned parties() const { return parties_; }
@@ -38,7 +36,7 @@ class Barrier {
   private:
     unsigned parties_;
     unsigned arrived_ = 0;
-    Signal generation_;
+    WaitList generation_;
 };
 
 }  // namespace maple::sim

@@ -128,15 +128,23 @@ TEST(MapleQueue, SignalsWakeOnSpaceAndData)
 {
     MapleQueue q;
     q.configure(1, 8);
-    sim::Signal data_sig = q.dataSignal();
-    EXPECT_FALSE(data_sig.ready());
+    auto park = [](sim::WaitList &list, bool &woken) -> sim::Task<void> {
+        co_await list;
+        woken = true;
+    };
+    bool data_woken = false;
+    sim::Join data_join = sim::spawn(park(q.dataWaiters(), data_woken));
+    EXPECT_FALSE(data_woken);
     q.fillSlot(q.reserveSlot(), 9);
-    EXPECT_TRUE(data_sig.ready()) << "fill must fire the data signal";
+    EXPECT_TRUE(data_woken) << "fill must wake the data waiters";
 
-    sim::Signal space_sig = q.spaceSignal();
-    EXPECT_FALSE(space_sig.ready());
+    bool space_woken = false;
+    sim::Join space_join = sim::spawn(park(q.spaceWaiters(), space_woken));
+    EXPECT_FALSE(space_woken);
     (void)q.pop();
-    EXPECT_TRUE(space_sig.ready()) << "pop must fire the space signal";
+    EXPECT_TRUE(space_woken) << "pop must wake the space waiters";
+    data_join.get();
+    space_join.get();
 }
 
 TEST(MapleQueue, MisuseIsRejected)

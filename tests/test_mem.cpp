@@ -607,3 +607,94 @@ TEST(Mmu, ShootdownForcesRewalk)
     EXPECT_EQ(tr.paddr, 0x2040u);
     EXPECT_EQ(f.mmu.walks(), 2u);
 }
+
+// TLB and walker accounting per translate(): a hit completes without a frame
+// or a walk, so these pin that the fast path counts its lookup exactly once
+// and still refreshes LRU order.
+namespace {
+
+struct MmuCounts {
+    std::uint64_t hits, misses, walks, faults;
+};
+
+MmuCounts
+countsOf(Mmu &mmu)
+{
+    return {mmu.tlb().hits(), mmu.tlb().misses(), mmu.walks(), mmu.faults()};
+}
+
+}  // namespace
+
+TEST(Mmu, TlbHitCountsOneLookupAndNoWalk)
+{
+    MmuFixture f;
+    for (sim::Addr p = 0; p < 4; ++p)
+        f.pt.map(0xc000'0000 + p * kPageSize, 0x1000 + p * kPageSize, true);
+    for (sim::Addr p = 0; p < 4; ++p)
+        f.translate(0xc000'0000 + p * kPageSize);  // fill the 4-entry TLB
+
+    const MmuCounts before = countsOf(f.mmu);
+    const sim::Cycle start = f.eq.now();
+    Translation tr = f.translate(0xc000'0010);
+    EXPECT_FALSE(tr.fault);
+    EXPECT_EQ(tr.paddr, 0x1010u);
+    EXPECT_EQ(f.eq.now(), start);
+    const MmuCounts after = countsOf(f.mmu);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.walks, before.walks);
+
+    // The hit made page 0 most recent: a fifth page evicts page 1 instead.
+    f.pt.map(0xc000'0000 + 4 * kPageSize, 0x9000, true);
+    f.translate(0xc000'0000 + 4 * kPageSize);
+    const std::uint64_t walks = f.mmu.walks();
+    f.translate(0xc000'0000);
+    EXPECT_EQ(f.mmu.walks(), walks) << "hit must refresh the entry's LRU slot";
+    f.translate(0xc000'0000 + kPageSize);
+    EXPECT_EQ(f.mmu.walks(), walks + 1) << "page 1 was the LRU victim";
+}
+
+TEST(Mmu, TlbMissWalksOnceThenHits)
+{
+    MmuFixture f;
+    f.pt.map(0xd000'0000, 0x3000, true);
+    const MmuCounts before = countsOf(f.mmu);
+    EXPECT_EQ(f.translate(0xd000'0008).paddr, 0x3008u);
+    MmuCounts after = countsOf(f.mmu);
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.walks - before.walks, 1u);
+
+    EXPECT_EQ(f.translate(0xd000'0010).paddr, 0x3010u);
+    after = countsOf(f.mmu);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.walks - before.walks, 1u);
+}
+
+TEST(Mmu, StoreToReadOnlyTlbEntryInvalidatesRewalksAndFaults)
+{
+    MmuFixture f;
+    f.pt.map(0xe000'0000, 0x4000, /*writable=*/false);
+    f.translate(0xe000'0000);  // cache the read-only PTE
+    int handler_calls = 0;
+    f.mmu.setFaultHandler([&](sim::Addr va, bool write) -> sim::Task<bool> {
+        ++handler_calls;
+        EXPECT_TRUE(write);
+        f.pt.map(pageBase(va), 0x4000, /*writable=*/true);
+        co_return true;
+    });
+
+    const MmuCounts before = countsOf(f.mmu);
+    Translation tr = f.translate(0xe000'0020, /*write=*/true);
+    EXPECT_FALSE(tr.fault);
+    EXPECT_EQ(tr.paddr, 0x4020u);
+    const MmuCounts after = countsOf(f.mmu);
+    // Attempt 1: hit without write permission, invalidate, walk, fault.
+    // Attempt 2 (after the handler): miss, walk, install.
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.walks - before.walks, 2u);
+    EXPECT_EQ(after.faults - before.faults, 1u);
+    EXPECT_EQ(handler_calls, 1);
+}
