@@ -32,23 +32,21 @@
  * on every perf run, not only in the unit tests.
  *
  * Every tier also reports allocs_per_event: global operator new calls per
- * kernel event, setup included. This binary (and only this one) links a
- * counting operator new. Single-thread tiers repeat the count exactly, so
- * CI gates it as a host-speed-independent perf check.
+ * kernel event, setup included, counted by the operator new replacement
+ * this binary links (tests/support/counting_new.cpp). Single-thread tiers
+ * repeat the count exactly, so CI gates it as a host-speed-independent perf
+ * check.
  *
  * Prints a table and writes BENCH_host_perf.json (override with
  * --out=<path>); --quick shrinks iteration counts to CI-smoke size. CI runs
  * `bench_host_perf --quick` on every push and fails on gross regression
  * against the checked-in baseline.
  */
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "harness/host_perf.hpp"
 #include "harness/scenario.hpp"
 #include "mem/shard_port.hpp"
@@ -63,82 +61,14 @@ using namespace maple;
 
 namespace {
 
-// Allocation counters, one cache line per host thread. Each thread owns a
-// slot and bumps it without a locked instruction (a shared fetch_add would
-// tax the allocation-heavy tiers enough to skew their throughput); threads
-// past kAllocSlots share the last slot through fetch_add. Slots are static
-// storage, so a worker's count outlives the worker.
-constexpr unsigned kAllocSlots = 64;
-constexpr unsigned kUnclaimed = kAllocSlots;
-
-struct alignas(64) AllocSlot {
-    std::atomic<std::uint64_t> n{0};
-};
-
-AllocSlot g_alloc_slots[kAllocSlots];
-std::atomic<unsigned> g_alloc_next{0};
-thread_local constinit unsigned t_alloc_slot = kUnclaimed;
-
-void
-countAlloc()
-{
-    unsigned &slot = t_alloc_slot;
-    if (slot == kUnclaimed)
-        slot = std::min(g_alloc_next.fetch_add(1, std::memory_order_relaxed),
-                        kAllocSlots - 1);
-    std::atomic<std::uint64_t> &n = g_alloc_slots[slot].n;
-    if (slot == kAllocSlots - 1)
-        n.fetch_add(1, std::memory_order_relaxed);
-    else
-        n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-allocCount()
-{
-    std::uint64_t total = 0;
-    for (const AllocSlot &s : g_alloc_slots)
-        total += s.n.load(std::memory_order_relaxed);
-    return total;
-}
-
-}  // namespace
-
-// Counting replacements of the global allocation functions; the array and
-// nothrow forms forward to these. All out of line, so the compiler never
-// pairs an inlined malloc() or free() with the other side of a new/delete
-// pair (-Wmismatched-new-delete).
-[[gnu::noinline]] void *
-operator new(std::size_t bytes)
-{
-    countAlloc();
-    if (void *p = std::malloc(bytes ? bytes : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    ::operator delete(p);
-}
-
-namespace {
-
 /** Run one tier and record the global operator new calls it made. */
 template <typename Tier>
 harness::PerfSample
 counted(Tier &&tier)
 {
-    const std::uint64_t before = allocCount();
+    const std::uint64_t before = support::heapAllocCount();
     harness::PerfSample s = tier();
-    s.allocs = allocCount() - before;
+    s.allocs = support::heapAllocCount() - before;
     return s;
 }
 

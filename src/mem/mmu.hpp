@@ -80,12 +80,9 @@ class Mmu {
         bool
         await_ready()
         {
-            if (auto pte = mmu_.tlb_.lookup(vaddr_)) {
-                if (permits(*pte, write_)) {
-                    result_ = Translation{false, pte->paddrBase() | pageOffset(vaddr_)};
-                    return true;
-                }
-                mmu_.tlb_.invalidate(vaddr_);  // stale permissions: rewalk
+            if (auto hit = mmu_.tlbHit(vaddr_, write_)) {
+                result_ = *hit;
+                return true;
             }
             slow_ = mmu_.translateSlow(vaddr_, write_);
             return false;
@@ -154,6 +151,20 @@ class Mmu {
         return pte.readable() && (!write || pte.writable());
     }
 
+    /** One TLB lookup: the translation on a hit that permits the access;
+     *  otherwise nullopt, after invalidating a hit that lacks permission so
+     *  the caller's walk refills it. */
+    std::optional<Translation>
+    tlbHit(sim::Addr vaddr, bool write)
+    {
+        if (auto pte = tlb_.lookup(vaddr)) {
+            if (permits(*pte, write))
+                return Translation{false, pte->paddrBase() | pageOffset(vaddr)};
+            tlb_.invalidate(vaddr);
+        }
+        return std::nullopt;
+    }
+
     /** translate() past a first TLB lookup that missed (or was invalidated
      *  for lacking permission): walk, fault, and retry once. */
     sim::Task<Translation>
@@ -161,11 +172,8 @@ class Mmu {
     {
         for (int attempt = 0; attempt < 2; ++attempt) {
             if (attempt > 0) {
-                if (auto pte = tlb_.lookup(vaddr)) {
-                    if (permits(*pte, write))
-                        co_return Translation{false, pte->paddrBase() | pageOffset(vaddr)};
-                    tlb_.invalidate(vaddr);
-                }
+                if (auto hit = tlbHit(vaddr, write))
+                    co_return *hit;
             }
             auto walked = co_await walk(vaddr);
             if (walked && permits(*walked, write)) {

@@ -29,25 +29,32 @@
 #include <cstdint>
 #include <new>
 
+namespace maple::sim {
+
+namespace detail {
+
+/** Whether this translation unit is built with AddressSanitizer; the only
+ *  thing that turns the pool off. */
 #if defined(__SANITIZE_ADDRESS__)
-#define MAPLE_FRAME_POOL 0
+inline constexpr bool kAddressSanitizer = true;
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define MAPLE_FRAME_POOL 0
+inline constexpr bool kAddressSanitizer = true;
+#else
+inline constexpr bool kAddressSanitizer = false;
 #endif
-#endif
-#ifndef MAPLE_FRAME_POOL
-#define MAPLE_FRAME_POOL 1
+#else
+inline constexpr bool kAddressSanitizer = false;
 #endif
 
-namespace maple::sim {
+}  // namespace detail
 
 class FramePool {
   public:
     static constexpr std::size_t kGranule = 64;
     static constexpr std::size_t kClasses = 32;
     static constexpr std::size_t kMaxBytes = kGranule * kClasses;
-    static constexpr bool kEnabled = MAPLE_FRAME_POOL != 0;
+    static constexpr bool kEnabled = !detail::kAddressSanitizer;
 
     /** The calling thread's pool counters (telemetry and tests). */
     struct Counts {
@@ -93,40 +100,39 @@ inline thread_local constinit FramePoolTls t_frame_pool{};
 inline void *
 FramePool::allocate(std::size_t bytes)
 {
-#if MAPLE_FRAME_POOL
-    detail::FramePoolTls &tls = detail::t_frame_pool;
-    if (bytes <= kMaxBytes) {
-        const std::size_t cls = classOf(bytes);
-        if (detail::FreeBlock *b = tls.heads[cls]) {
-            tls.heads[cls] = b->next;
-            --tls.counts.cached;
-            return b;
+    if constexpr (kEnabled) {
+        detail::FramePoolTls &tls = detail::t_frame_pool;
+        if (bytes <= kMaxBytes) {
+            const std::size_t cls = classOf(bytes);
+            if (detail::FreeBlock *b = tls.heads[cls]) {
+                tls.heads[cls] = b->next;
+                --tls.counts.cached;
+                return b;
+            }
+            return allocateFresh(cls);
         }
-        return allocateFresh(cls);
+        ++tls.counts.oversized;
     }
-    ++tls.counts.oversized;
-#endif
     return ::operator new(bytes);
 }
 
 inline void
 FramePool::deallocate(void *p, std::size_t bytes) noexcept
 {
-#if MAPLE_FRAME_POOL
-    detail::FramePoolTls &tls = detail::t_frame_pool;
-    if (bytes <= kMaxBytes && tls.state == detail::FramePoolTls::Armed) {
-        const std::size_t cls = classOf(bytes);
-        auto *b = static_cast<detail::FreeBlock *>(p);
-        b->next = tls.heads[cls];
-        tls.heads[cls] = b;
-        ++tls.counts.cached;
-        return;
+    if constexpr (kEnabled) {
+        detail::FramePoolTls &tls = detail::t_frame_pool;
+        if (bytes <= kMaxBytes && tls.state == detail::FramePoolTls::Armed) {
+            const std::size_t cls = classOf(bytes);
+            auto *b = static_cast<detail::FreeBlock *>(p);
+            b->next = tls.heads[cls];
+            tls.heads[cls] = b;
+            ++tls.counts.cached;
+            return;
+        }
+        deallocateSlow(p, bytes);
+    } else {
+        ::operator delete(p);
     }
-    deallocateSlow(p, bytes);
-#else
-    (void)bytes;
-    ::operator delete(p);
-#endif
 }
 
 inline FramePool::Counts

@@ -6,12 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <thread>
 
+#include "counting_new.hpp"
 #include "sim/coro.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/frame_pool.hpp"
@@ -21,36 +19,7 @@
 
 using namespace maple::sim;
 
-namespace {
-
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-}  // namespace
-
-// Counting global operator new: lets the tests below assert that a path
-// performs no heap allocation at all. All out of line, so the compiler never
-// pairs an inlined malloc() or free() with the other side of a new/delete
-// pair (-Wmismatched-new-delete).
-[[gnu::noinline]] void *
-operator new(std::size_t bytes)
-{
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(bytes ? bytes : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-[[gnu::noinline]] void
-operator delete(void *p, std::size_t) noexcept
-{
-    ::operator delete(p);
-}
+using maple::support::heapAllocCount;
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -541,10 +510,10 @@ TEST(WaitList, RewaiterWaitsForTheNextNotify)
 TEST(WaitList, NotifyAllocatesNothing)
 {
     WaitList list;
-    std::uint64_t before = g_heap_allocs.load();
+    std::uint64_t before = heapAllocCount();
     for (int i = 0; i < 1000; ++i)
         list.notifyAll();
-    EXPECT_EQ(g_heap_allocs.load() - before, 0u)
+    EXPECT_EQ(heapAllocCount() - before, 0u)
         << "a notify with no waiters must not allocate";
 
     // A waiter parking and waking in a loop reuses the list's buffers (and,
@@ -560,10 +529,10 @@ TEST(WaitList, NotifyAllocatesNothing)
     Join j = spawn(loop());
     list.notifyAll();
     list.notifyAll();
-    before = g_heap_allocs.load();
+    before = heapAllocCount();
     for (int i = 0; i < 1000; ++i)
         list.notifyAll();
-    EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+    EXPECT_EQ(heapAllocCount() - before, 0u);
     EXPECT_EQ(wakes, 1002);
     stop = true;
     list.notifyAll();
